@@ -78,45 +78,6 @@ def test_cold_cli_derive_for_comparison(benchmark, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _one_warm_request_resilience_off(tmp_path):
-    """The warm request again, through a client that explicitly opted
-    out of the resilience layer (``retry=None``, ``breaker=None``) with
-    chaos disabled — the pre-resilience single-attempt path."""
-
-    async def main():
-        server = DerivationServer(_serve_config(tmp_path))
-        await server.start()
-        try:
-            from repro.serve.client import AsyncServeClient
-
-            client = AsyncServeClient(
-                *server.address, retry=None, breaker=None
-            )
-            await client.post_op("derive", SPEC)  # prime pool + cache
-            status, envelope = await client.post_op("derive", SPEC)
-            await client.close()
-            assert client.last_retry is None  # no journey was recorded
-            return status, envelope
-        finally:
-            await server.shutdown()
-
-    return asyncio.run(main())
-
-
-def test_serve_warm_request_retry_disabled(benchmark, tmp_path):
-    """Chaos off + no retry policy must cost what it always cost.
-
-    The perf gate (`compare_bench.py`) holds this within the envelope
-    of `test_serve_warm_request_roundtrip`'s history: the resilience
-    layer adds no overhead until a policy is installed.
-    """
-    status, envelope = benchmark.pedantic(
-        _one_warm_request_resilience_off, args=(tmp_path,), rounds=3,
-        iterations=1,
-    )
-    assert status == 200 and envelope["cache"] == "hit"
-
-
 def test_serve_warm_cache_throughput(benchmark, tmp_path):
     """A 64-request loadgen burst against a cache-warm server."""
 

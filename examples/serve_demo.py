@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """The derivation server end to end, in one process.
 
-Spins up :class:`repro.serve.DerivationServer` on a background thread
-(thread workers, ephemeral port, private cache), then drives it the
-way operators do: the blocking :class:`ServeClient` for single
-requests, a ``repro loadgen``-style closed-loop burst, and the
-``/metrics`` document to prove the cache claim — a repeated spec costs
-zero derivations.
+Starts :class:`repro.serve.DerivationServer` (thread workers,
+ephemeral port, private cache) and drives it from the same event loop
+the way operators do: :class:`AsyncServeClient` for single requests, a
+``repro loadgen``-style closed-loop burst, and the ``/metrics``
+document to prove the cache claim — a repeated spec costs zero
+derivations.
 
 Run:  python examples/serve_demo.py
 Docs: docs/serving.md (wire schemas, overload semantics, ops flags)
@@ -14,9 +14,8 @@ Docs: docs/serving.md (wire schemas, overload semantics, ops flags)
 
 import asyncio
 import tempfile
-import threading
 
-from repro.serve import DerivationServer, ServeClient, ServeConfig
+from repro.serve import AsyncServeClient, DerivationServer, ServeConfig
 from repro.serve.loadgen import render_digest, run_loadgen
 
 SERVICE = """
@@ -25,120 +24,94 @@ SPEC
 ENDSPEC
 """
 
-def start_server(config):
-    """Run a server on its own thread + event loop; return the controls."""
-    started = threading.Event()
-    controls = {}
 
-    def runner():
-        async def main():
-            server = DerivationServer(config)
-            await server.start()
-            controls["server"] = server
-            controls["loop"] = asyncio.get_running_loop()
-            controls["stop"] = asyncio.Event()
-            started.set()
-            await controls["stop"].wait()
-            await server.shutdown()
+async def demo(cache_dir: str) -> None:
+    server = DerivationServer(
+        ServeConfig(
+            port=0,                   # pick a free port
+            workers=2,
+            worker_kind="thread",     # no fork cost for a demo
+            cache_dir=cache_dir,
+            access_log=False,
+        )
+    )
+    await server.start()
+    host, port = server.address
+    print(f"server listening on http://{host}:{port}")
 
-        asyncio.run(main())
+    client = AsyncServeClient(host, port)
+    try:
+        # ------------------------------------------------------------
+        # 1. Liveness, then one derivation — and its free repeat.
+        # ------------------------------------------------------------
+        status, health = await client.request("GET", "/healthz")
+        assert status == 200 and health["status"] == "ok"
+        print(f"healthz: {health}")
 
-    thread = threading.Thread(target=runner, daemon=True)
-    thread.start()
-    started.wait()
-    controls["thread"] = thread
-    return controls
+        _, first = await client.post_op("derive", SERVICE)
+        assert first["ok"] and first["cache"] == "miss"
+        places = first["result"]["places"]
+        print(f"derived entities for places {places} (cache miss)")
+        for place in places:
+            entity = first["result"]["entities"][str(place)]
+            print(f"  T{place}: {entity.splitlines()[0]} ...")
 
+        _, second = await client.post_op("derive", SERVICE)
+        assert second["ok"] and second["cache"] == "hit"
+        assert second["result"]["entities"] == first["result"]["entities"]
+        print("repeated request: served from cache, zero derivations")
 
-def stop_server(controls):
-    controls["loop"].call_soon_threadsafe(controls["stop"].set)
-    controls["thread"].join(timeout=30)
+        # ------------------------------------------------------------
+        # 2. Failure containment: a broken spec is a 422 envelope,
+        #    not a dead server.
+        # ------------------------------------------------------------
+        broken_service = "SPEC connect1; ENDSPEC"  # no continuation
+        status, broken = await client.post_op("derive", broken_service)
+        assert status == 422 and not broken["ok"]
+        print(
+            f"broken spec answered {broken['status']} "
+            f"{broken['error']['type']}: {broken['error']['message']}"
+        )
+        status, health = await client.request("GET", "/healthz")
+        assert status == 200 and health["status"] == "ok"  # still alive
+
+        # ------------------------------------------------------------
+        # 3. A closed-loop burst, like `repro loadgen`.
+        # ------------------------------------------------------------
+        report = await run_loadgen(
+            host, port, SERVICE, connections=4, requests=24
+        )
+        assert report["failed"] == 0 and report["shed"] == 0
+        assert report["cache"]["hit"] == report["requests"]
+        print(render_digest(report))
+
+        # ------------------------------------------------------------
+        # 4. /metrics corroborates: one derivation ever.
+        # ------------------------------------------------------------
+        _, snapshot = await client.request("GET", "/metrics")
+        metrics = {metric["name"]: metric for metric in snapshot["metrics"]}
+        derivations = sum(
+            series["value"]
+            for series in metrics["serve.derivations"]["series"]
+        )
+        hits = sum(
+            series["value"]
+            for series in metrics["serve.cache.hits"]["series"]
+        )
+        assert derivations == 1
+        print(
+            f"metrics: serve.derivations={derivations:g} "
+            f"serve.cache.hits={hits:g}"
+        )
+    finally:
+        await client.close()
+        await server.shutdown()
+    print(f"drained: {server.digest()}")
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as cache_dir:
-        controls = start_server(
-            ServeConfig(
-                port=0,                   # pick a free port
-                workers=2,
-                worker_kind="thread",     # no fork cost for a demo
-                cache_dir=cache_dir,
-                access_log=False,
-            )
-        )
-        server = controls["server"]
-        host, port = server.address
-        print(f"server listening on http://{host}:{port}")
-
-        with ServeClient(host=host, port=port) as client:
-            # --------------------------------------------------------
-            # 1. Liveness, then one derivation — and its free repeat.
-            # --------------------------------------------------------
-            health = client.healthz()
-            assert health["status"] == "ok"
-            print(f"healthz: {health}")
-
-            first = client.derive(SERVICE)
-            assert first["ok"] and first["cache"] == "miss"
-            places = first["result"]["places"]
-            print(f"derived entities for places {places} (cache miss)")
-            for place in places:
-                entity = first["result"]["entities"][str(place)]
-                print(f"  T{place}: {entity.splitlines()[0]} ...")
-
-            second = client.derive(SERVICE)
-            assert second["ok"] and second["cache"] == "hit"
-            assert second["result"]["entities"] == first["result"]["entities"]
-            print("repeated request: served from cache, zero derivations")
-
-            # --------------------------------------------------------
-            # 2. Failure containment: a broken spec is a 422 envelope,
-            #    not a dead server.
-            # --------------------------------------------------------
-            broken_service = "SPEC connect1; ENDSPEC"  # no continuation
-            broken = client.derive(broken_service)
-            assert not broken["ok"] and broken["status"] == 422
-            print(
-                f"broken spec answered {broken['status']} "
-                f"{broken['error']['type']}: {broken['error']['message']}"
-            )
-            assert client.healthz()["status"] == "ok"  # still alive
-
-            # --------------------------------------------------------
-            # 3. A closed-loop burst, like `repro loadgen`.
-            # --------------------------------------------------------
-            report = asyncio.run(
-                run_loadgen(
-                    host, port, SERVICE, connections=4, requests=24
-                )
-            )
-            assert report["failed"] == 0 and report["shed"] == 0
-            assert report["cache"]["hit"] == report["requests"]
-            print(render_digest(report))
-
-            # --------------------------------------------------------
-            # 4. /metrics corroborates: one derivation ever.
-            # --------------------------------------------------------
-            metrics = {
-                metric["name"]: metric
-                for metric in client.metrics()["metrics"]
-            }
-            derivations = sum(
-                series["value"]
-                for series in metrics["serve.derivations"]["series"]
-            )
-            hits = sum(
-                series["value"]
-                for series in metrics["serve.cache.hits"]["series"]
-            )
-            assert derivations == 1
-            print(
-                f"metrics: serve.derivations={derivations:g} "
-                f"serve.cache.hits={hits:g}"
-            )
-
-        stop_server(controls)
-        print(f"drained: {server.digest()}")
+        asyncio.run(demo(cache_dir))
 
 
 if __name__ == "__main__":

@@ -38,7 +38,6 @@ import os
 import pathlib
 from typing import Any, Dict, Iterable, Mapping, Optional
 
-from repro.chaos import get_chaos
 from repro.core.generator import ALGORITHM_VERSION, normalize_options
 from repro.obs.metrics import get_registry
 
@@ -110,17 +109,10 @@ class EntityCache:
 
         A malformed entry — truncated write, foreign file, schema or
         key mismatch — is deleted and reported as a miss, so a damaged
-        store heals itself instead of serving garbage.  That healing
-        path is exactly what chaos's ``corrupt_entry`` fault exercises:
-        it scribbles over the entry right before the read.
+        store heals itself instead of serving garbage.
         """
         registry = get_registry()
         path = self._path(key)
-        chaos = get_chaos()
-        if chaos is not None and path.exists():
-            directive = chaos.decide("cache.read", key=key)
-            if directive is not None and directive["kind"] == "corrupt_entry":
-                path.write_text("{corrupt", encoding="utf-8")
         try:
             entry = json.loads(path.read_text(encoding="utf-8"))
             if entry.get("schema") != ENTRY_SCHEMA or entry.get("key") != key:

@@ -36,11 +36,9 @@ from repro.batch.manifest import SpecCase
 from repro.batch.workers import (
     error_document,
     make_executor,
-    run_task,
     stats_document,
     timeout_document,
 )
-from repro.chaos import get_chaos
 from repro.core.generator import (
     derive_place_task,
     derive_task,
@@ -166,19 +164,6 @@ def run_batch(
     return BatchOutcome(summary=summary, entities=entities)
 
 
-def _envelope_error(envelope: Dict[str, Any]) -> Dict[str, Any]:
-    """The row error document of a failed ``run_task`` envelope.
-
-    The envelope's ``injected`` tag (a chaos-caused failure, not an
-    organic one) is folded into the error document so the distinction
-    survives into the batch summary.
-    """
-    error = dict(envelope.get("error") or {})
-    if envelope.get("injected"):
-        error["injected"] = True
-    return error
-
-
 # ----------------------------------------------------------------------
 # Serial execution (workers=0, and the degradation path).
 # ----------------------------------------------------------------------
@@ -188,31 +173,10 @@ def _run_serial(
     rows: List[Dict[str, Any]],
     entities: Dict[str, Dict[int, str]],
 ) -> None:
-    chaos = get_chaos()
     for case, key in misses:
         started = time.perf_counter()
-        directive = None
-        if chaos is not None:
-            directive = chaos.decide("worker.task", op="derive",
-                                     spec=case.name)
         try:
-            if directive is not None:
-                envelope = run_task(
-                    "derive", case.text, dict(case.options), directive
-                )
-                if not envelope.get("ok"):
-                    rows.append(
-                        _row(
-                            case.name, "failed",
-                            "miss" if cache is not None else "off",
-                            [], 1, time.perf_counter() - started,
-                            _envelope_error(envelope),
-                        )
-                    )
-                    continue
-                payload = envelope["result"]
-            else:
-                payload = derive_task(case.text, dict(case.options))
+            payload = derive_task(case.text, dict(case.options))
         except Exception as exc:
             rows.append(
                 _row(
@@ -244,25 +208,12 @@ def _run_pool(
     try:
         pending: Dict[Future, Tuple[_Pending, str, Optional[int]]] = {}
         states: Dict[str, _Pending] = {}
-        chaos = get_chaos()
         for case, key in misses:
             state = _Pending(case=case, key=key, started=time.perf_counter())
             states[case.name] = state
             split = len(canonicalize_spec_text(case.text)) >= split_bytes
             options = dict(case.options)
-            directive = None
-            if chaos is not None:
-                directive = chaos.decide("worker.task", op="derive",
-                                         spec=case.name)
-            if directive is not None:
-                # Ship the fault with the task, routed through the
-                # containment wrapper so the envelope comes back
-                # injected-tagged (process kills still really die).
-                future = pool.submit(
-                    run_task, "derive", case.text, options, directive
-                )
-                pending[future] = (state, "contained", None)
-            elif split:
+            if split:
                 future = pool.submit(list_places_task, case.text, options)
                 pending[future] = (state, "plan", None)
             else:
@@ -288,18 +239,7 @@ def _run_pool(
                 except Exception as exc:
                     _fail(state, states, cache, rows, error_document(exc))
                     continue
-                if kind == "contained":
-                    if payload.get("ok"):
-                        _finish(
-                            state.case, state.key, payload["result"],
-                            cache, rows, entities,
-                            tasks=state.tasks, started=state.started,
-                        )
-                        del states[state.case.name]
-                    else:
-                        _fail(state, states, cache, rows,
-                              _envelope_error(payload))
-                elif kind == "plan":
+                if kind == "plan":
                     state.places = payload["places"]
                     state.violations = payload["violations"]
                     for entity_place in payload["places"]:

@@ -139,47 +139,8 @@ def timeout_document(timeout: Optional[float]) -> Dict[str, str]:
     }
 
 
-def _apply_chaos_directive(directive: Mapping[str, Any]) -> Optional[Dict]:
-    """Act on a fault directive inside the worker.
-
-    Returns an (injected-tagged) failure envelope to answer with, or
-    ``None`` to proceed with the real task.  ``worker_kill`` on a
-    *process* worker actually dies (``os._exit``) so the parent sees a
-    genuine ``BrokenProcessPool``; on a thread worker — which cannot
-    exit without taking the server along — the crash is simulated as a
-    contained envelope.  ``worker_stall`` sleeps and then lets the
-    task run, so a short request budget expires parent-side.
-    """
-    kind = directive.get("kind")
-    if kind == "worker_stall":
-        import time
-
-        time.sleep(float(directive.get("stall_s", 1.0)))
-        return None
-    if kind == "worker_kill":
-        import multiprocessing
-        import os
-
-        if multiprocessing.parent_process() is not None:
-            os._exit(3)
-        return {
-            "ok": False,
-            "kind": "internal",
-            "injected": True,
-            "error": {
-                "type": "WorkerKilled",
-                "message": "chaos: injected worker kill (thread worker)",
-                "traceback": "",
-            },
-        }
-    return None
-
-
 def run_task(
-    op: str,
-    text: str,
-    options: Optional[Mapping[str, Any]] = None,
-    chaos: Optional[Mapping[str, Any]] = None,
+    op: str, text: str, options: Optional[Mapping[str, Any]] = None
 ) -> Dict[str, Any]:
     """Run one registered operation inside a worker; never raises.
 
@@ -194,17 +155,7 @@ def run_task(
     violation, unknown option — a 4xx), ``internal`` means the worker
     broke (a 5xx).  Containing the exception *inside* the worker also
     sidesteps exception pickling across the process boundary.
-
-    ``chaos`` is a fault directive decided parent-side (the pool or
-    scheduler holds the :class:`repro.chaos.ChaosController`; the
-    worker process does not) and shipped along with the task.  Fault-
-    injected failures carry ``"injected": True`` in the envelope so
-    they are never mistaken for organic ones.
     """
-    if chaos is not None:
-        settled = _apply_chaos_directive(chaos)
-        if settled is not None:
-            return settled
     try:
         entry_point = TASKS[op]
     except KeyError:

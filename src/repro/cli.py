@@ -712,15 +712,6 @@ def make_serve_parser() -> argparse.ArgumentParser:
         "--max-cache-entries", type=int, default=None, metavar="N",
         help="evict least-recently-written cache entries beyond N",
     )
-    parser.add_argument(
-        "--chaos-plan", default=None, metavar="PLAN",
-        help="run under deterministic fault injection: a built-in plan "
-        "name or a fault-plan JSON file (see docs/robustness.md)",
-    )
-    parser.add_argument(
-        "--chaos-seed", type=int, default=0, metavar="N",
-        help="seed of the fault plan's schedule (default %(default)s)",
-    )
     _add_common_flags(parser)
     return parser
 
@@ -728,23 +719,6 @@ def make_serve_parser() -> argparse.ArgumentParser:
 def serve_main(argv: Optional[Sequence[str]] = None) -> int:
     args = make_serve_parser().parse_args(argv)
     from repro.serve.server import ServeConfig
-
-    if args.chaos_plan:
-        from repro.chaos import ChaosController, ChaosError, set_chaos
-        from repro.chaos.runner import resolve_plan
-
-        try:
-            plan = resolve_plan(args.chaos_plan, args.chaos_seed)
-        except ChaosError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        set_chaos(ChaosController(plan))
-        if not args.quiet:
-            print(
-                f"serve: CHAOS plan {plan.name!r} seed {plan.seed} active "
-                f"({len(plan.faults)} fault(s))",
-                file=sys.stderr,
-            )
 
     config = ServeConfig(
         host=args.host,
@@ -805,13 +779,11 @@ def make_loadgen_parser() -> argparse.ArgumentParser:
         prog="repro loadgen",
         description="Closed-loop load generator against a running "
         "`repro serve`: N connections each send one request at a time "
-        "from a shared budget, and the run emits one repro.obs.loadgen/v2 "
+        "from a shared budget, and the run emits one repro.obs.loadgen/v3 "
         "report on stdout (exact latency percentiles, throughput, "
-        "ok/shed/failed plus recovered/exhausted retry classification).  "
-        "Exit status is 1 when any request failed — or, with --retries, "
-        "when any retry budget was exhausted (503 sheds that recovered "
-        "do not fail the run).  See docs/serving.md and "
-        "docs/robustness.md.",
+        "ok/shed/failed counts).  Exit status is 1 when any request "
+        "failed (503 sheds are counted separately and do not fail the "
+        "run).  See docs/serving.md.",
     )
     parser.add_argument(
         "service",
@@ -838,15 +810,6 @@ def make_loadgen_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--timeout", type=float, default=60.0, metavar="SECONDS",
         help="per-request client timeout (default %(default)s)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="retry each request up to N extra times (exponential "
-        "backoff, Retry-After honored); 0 disables (default)",
-    )
-    parser.add_argument(
-        "--retry-seed", type=int, default=0, metavar="N",
-        help="seed of the deterministic retry jitter (default %(default)s)",
     )
     parser.add_argument(
         "--mixed-choice", action="store_true",
@@ -881,13 +844,6 @@ def _loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     options = {"mixed_choice": True} if args.mixed_choice else None
-    retry = None
-    if args.retries > 0:
-        from repro.serve.resilience import RetryPolicy
-
-        retry = RetryPolicy(
-            max_attempts=args.retries + 1, seed=args.retry_seed
-        )
     report = asyncio.run(
         run_loadgen(
             args.host,
@@ -898,154 +854,13 @@ def _loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
             connections=args.connections,
             requests=args.requests,
             timeout=args.timeout,
-            retry=retry,
         )
     )
     indent = args.indent if args.indent > 0 else None
     print(json.dumps(report, indent=indent, sort_keys=True))
     if not args.quiet:
         print(render_digest(report), file=sys.stderr)
-    if report["failed"]:
-        return 1
-    if retry is not None and report["exhausted"]:
-        return 1
-    return 0
-
-
-# ----------------------------------------------------------------------
-# ``repro chaos``
-# ----------------------------------------------------------------------
-def make_chaos_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro chaos",
-        description="Prove the serve stack's resilience under a named "
-        "fault plan: boot an in-process server with deterministic fault "
-        "injection active, fire a retrying loadgen burst while probing "
-        "/healthz, and emit one repro.obs.chaos/v1 report on stdout.  "
-        "Exit status is 0 only when zero requests were lost and the "
-        "server stayed alive throughout.  See docs/robustness.md.",
-    )
-    parser.add_argument(
-        "plan",
-        nargs="?",
-        default=None,
-        help="built-in fault plan name, or a fault-plan JSON file",
-    )
-    parser.add_argument(
-        "--list-plans", action="store_true",
-        help="print the built-in fault plans and exit",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0,
-        help="fault-schedule seed (default %(default)s)",
-    )
-    parser.add_argument(
-        "--spec", default=None, metavar="PATH",
-        help="service specification to request (default: a tiny built-in)",
-    )
-    parser.add_argument(
-        "--op", choices=["derive", "lint", "profile"], default="derive",
-        help="operation to request (default %(default)s)",
-    )
-    parser.add_argument(
-        "--connections", type=int, default=4, metavar="N",
-        help="concurrent closed-loop connections (default %(default)s; "
-        "use 1 for an exactly replayable run)",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=40, metavar="N",
-        help="total requests across all connections (default %(default)s)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="server worker pool size (default %(default)s)",
-    )
-    parser.add_argument(
-        "--worker-kind", choices=["process", "thread"], default="thread",
-        help="thread pool (default: fast, kills simulated) or process "
-        "pool (kills are real os._exit crashes)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=5, metavar="N",
-        help="client retry budget per request (default %(default)s)",
-    )
-    parser.add_argument(
-        "--indent", type=int, default=2, metavar="N",
-        help="JSON indentation; 0 emits the compact one-line form",
-    )
-    _add_common_flags(parser)
-    return parser
-
-
-def chaos_main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _chaos_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
-
-
-def _chaos_main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.chaos import ChaosError, list_plans
-    from repro.chaos.runner import (
-        DEFAULT_SPEC,
-        default_retry,
-        render_digest,
-        resolve_plan,
-        run_chaos,
-    )
-    from repro.serve.resilience import RetryPolicy
-
-    args = make_chaos_parser().parse_args(argv)
-    if args.list_plans:
-        for line in list_plans():
-            print(line)
-        return 0
-    if args.plan is None:
-        make_chaos_parser().error("no fault plan given (see --list-plans)")
-    try:
-        plan = resolve_plan(args.plan, args.seed)
-    except ChaosError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    spec = DEFAULT_SPEC
-    if args.spec is not None:
-        try:
-            spec = (
-                sys.stdin.read()
-                if args.spec == "-"
-                else open(args.spec, encoding="utf-8").read()
-            )
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    retry = None
-    if args.retries > 0:
-        base = default_retry(plan)
-        retry = RetryPolicy(
-            max_attempts=args.retries + 1,
-            base_delay=base.base_delay,
-            multiplier=base.multiplier,
-            max_delay=base.max_delay,
-            jitter=base.jitter,
-            seed=plan.seed,
-        )
-    report = asyncio.run(
-        run_chaos(
-            plan,
-            spec=spec,
-            op=args.op,
-            connections=args.connections,
-            requests=args.requests,
-            workers=args.workers,
-            worker_kind=args.worker_kind,
-            retry=retry,
-        )
-    )
-    indent = args.indent if args.indent > 0 else None
-    print(json.dumps(report, indent=indent, sort_keys=True))
-    if not args.quiet:
-        print(render_digest(report), file=sys.stderr)
-    return 0 if report["verdict"]["ok"] else 1
+    return 1 if report["failed"] else 0
 
 
 # ----------------------------------------------------------------------
@@ -1168,7 +983,6 @@ commands:
   batch     parallel, cached derivation of a corpus (repro batch --help)
   serve     long-running asyncio derivation server (repro serve --help)
   loadgen   closed-loop load generator for serve (repro loadgen --help)
-  chaos     fault-injected resilience run against serve (repro chaos --help)
 
 options:
   --version print the package version and exit
@@ -1199,8 +1013,6 @@ def repro_main(argv: Optional[Sequence[str]] = None) -> int:
         return serve_main(rest)
     if command == "loadgen":
         return loadgen_main(rest)
-    if command == "chaos":
-        return chaos_main(rest)
     print(f"error: unknown command {command!r}\n{_USAGE}", file=sys.stderr, end="")
     return 2
 

@@ -153,8 +153,3 @@ def analyze(result: DerivationResult) -> ComplexityReport:
     for place in sorted(result.attrs.all_places):
         deriver.derive(place)
     return analyze_ledger(deriver.ledger, len(result.attrs.all_places))
-
-
-def message_count_of_run(run) -> int:
-    """Messages actually sent during one executed schedule."""
-    return run.messages_sent

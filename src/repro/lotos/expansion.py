@@ -17,7 +17,7 @@ operand in a specification.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import ExpansionError
 from repro.lotos.events import Delta, Event
@@ -169,13 +169,3 @@ def transform_disable_operands(spec: Specification) -> Specification:
     if not changed:
         return spec
     return Specification(DefBlock(new_root, tuple(new_defs)))
-
-
-def contains_unnormalized_disable(
-    node: Behaviour, semantics: Optional[Semantics] = None
-) -> bool:
-    """Whether any ``[>`` in ``node`` has a non-prefix-form right operand."""
-    for sub in node.walk():
-        if isinstance(sub, Disable) and not is_action_prefix_form(sub.right):
-            return True
-    return False

@@ -293,9 +293,6 @@ class DefBlock:
     behaviour: Behaviour
     definitions: Tuple[ProcessDefinition, ...] = ()
 
-    def local_names(self) -> Tuple[str, ...]:
-        return tuple(d.name for d in self.definitions)
-
 
 @dataclass(frozen=True)
 class Specification:

@@ -6,13 +6,12 @@ Seven JSON documents are validated here: the span tree
 (``repro.obs.profile/v1``), the corpus batch summary
 (``repro.obs.batch/v1``, produced by :mod:`repro.batch`), the
 derivation-server wire envelopes (``repro.serve.request/v1`` /
-``repro.serve.response/v1``, spoken by :mod:`repro.serve`), the
-load-generator report (``repro.obs.loadgen/v2`` — v2 added the retry
-outcome classification: recovered / exhausted / retry counts) and the
-chaos-run report (``repro.obs.chaos/v1``, produced by ``repro
-chaos``).  CI's smoke and gate jobs validate against these shapes
-before trusting a report, and tests pin them so the schemas only
-change deliberately.
+``repro.serve.response/v1``, spoken by :mod:`repro.serve`) and the
+load-generator report (``repro.obs.loadgen/v3`` — v3 dropped v2's
+retry outcome counts ``recovered`` / ``exhausted`` / ``retries``, so
+it has v1's shape again).  CI's smoke and gate jobs validate against
+these shapes before trusting a report, and tests pin them so the
+schemas only change deliberately.
 
 The validator is a tiny structural checker (no jsonschema dependency):
 each check returns a list of human-readable problem strings, empty when
@@ -31,7 +30,7 @@ BENCH_SCHEMA = "repro.obs.bench/v1"
 BATCH_SCHEMA = "repro.obs.batch/v1"
 SERVE_REQUEST_SCHEMA = "repro.serve.request/v1"
 SERVE_RESPONSE_SCHEMA = "repro.serve.response/v1"
-LOADGEN_SCHEMA = "repro.obs.loadgen/v2"
+LOADGEN_SCHEMA = "repro.obs.loadgen/v3"
 
 #: Operations the derivation server can run (``POST /v1/<op>``).
 SERVE_OPS = ("derive", "lint", "profile")
@@ -344,7 +343,7 @@ def validate_serve_response(document: Any) -> List[str]:
 
 
 def validate_loadgen(document: Any) -> List[str]:
-    """Validate a ``repro loadgen`` report (loadgen/v2)."""
+    """Validate a ``repro loadgen`` report (loadgen/v3)."""
     problems: List[str] = []
     if not isinstance(document, dict):
         return ["loadgen: not an object"]
@@ -361,9 +360,6 @@ def validate_loadgen(document: Any) -> List[str]:
             "ok": int,
             "shed": int,
             "failed": int,
-            "recovered": int,
-            "exhausted": int,
-            "retries": int,
             "statuses": dict,
             "cache": dict,
             "duration_s": (int, float),
@@ -396,72 +392,6 @@ def validate_loadgen(document: Any) -> List[str]:
             cache,
             "loadgen.cache",
             {"hit": int, "miss": int, "off": int},
-            problems,
-        )
-    return problems
-
-
-def validate_chaos(document: Any) -> List[str]:
-    """Validate a ``repro chaos`` run report (chaos/v1)."""
-    from repro.chaos.faults import CHAOS_SCHEMA
-
-    problems: List[str] = []
-    if not isinstance(document, dict):
-        return ["chaos: not an object"]
-    _require(
-        document,
-        "chaos",
-        {
-            "schema": str,
-            "plan": dict,
-            "injections": dict,
-            "loadgen": dict,
-            "health": dict,
-            "server": dict,
-            "verdict": dict,
-        },
-        problems,
-    )
-    if document.get("schema") != CHAOS_SCHEMA:
-        problems.append(f"chaos.schema: expected {CHAOS_SCHEMA!r}")
-    plan = document.get("plan", {})
-    if isinstance(plan, dict):
-        _require(
-            plan, "chaos.plan",
-            {"name": str, "seed": int, "faults": list}, problems,
-        )
-    injections = document.get("injections", {})
-    if isinstance(injections, dict):
-        _require(
-            injections,
-            "chaos.injections",
-            {"total": int, "by_point": dict, "by_kind": dict,
-             "hits": dict, "events": list},
-            problems,
-        )
-    problems.extend(
-        f"chaos.{problem}"
-        for problem in validate_loadgen(document.get("loadgen", {}))
-    )
-    health = document.get("health", {})
-    if isinstance(health, dict):
-        _require(
-            health, "chaos.health",
-            {"probes": int, "failures": int}, problems,
-        )
-    server = document.get("server", {})
-    if isinstance(server, dict):
-        _require(server, "chaos.server", {"respawns": int}, problems)
-        if "metrics" in server:
-            problems.extend(
-                validate_metrics(server["metrics"], "chaos.server.metrics")
-            )
-    verdict = document.get("verdict", {})
-    if isinstance(verdict, dict):
-        _require(
-            verdict,
-            "chaos.verdict",
-            {"lost_requests": int, "server_alive": bool, "ok": bool},
             problems,
         )
     return problems

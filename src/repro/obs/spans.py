@@ -172,9 +172,6 @@ class Tracer:
             _render_span(root, "", lines)
         return "\n".join(lines) if lines else "(no spans recorded)"
 
-    def total_seconds(self) -> float:
-        return sum(root.duration for root in self.roots)
-
 
 class _OpenSpan:
     """Context manager binding one ``with tracer.span(...)`` region."""

@@ -17,28 +17,33 @@ HTTP/1.1 server, so heavy traffic pays that cost once:
   503 shedding, :class:`repro.batch.cache.EntityCache` reuse so a
   repeated spec never re-derives, graceful SIGTERM drain, and
   ``serve.*`` metrics;
-* **client** (:mod:`repro.serve.client`) — blocking and asyncio
-  clients speaking the ``repro.serve.request/v1`` /
+* **client** (:mod:`repro.serve.client`) — the asyncio client
+  speaking the ``repro.serve.request/v1`` /
   ``repro.serve.response/v1`` envelopes;
 * **loadgen** (:mod:`repro.serve.loadgen`) — the closed-loop load
   generator behind ``repro loadgen`` (latency percentiles, throughput,
-  ``repro.obs.loadgen/v1`` reports).
+  ``repro.obs.loadgen/v3`` reports).
 
 Typical embedded use::
 
     import asyncio
-    from repro.serve import DerivationServer, ServeConfig, ServeClient
+    from repro.serve import AsyncServeClient, DerivationServer, ServeConfig
 
     async def main():
         server = DerivationServer(ServeConfig(port=0, worker_kind="thread"))
         await server.start()
-        ...
+        client = AsyncServeClient(*server.address)
+        status, envelope = await client.post_op("derive", spec_text)
+        await client.close()
+        await server.shutdown()
+
+    asyncio.run(main())
 
 See ``docs/serving.md`` for the wire schema, operational flags and
 overload semantics.
 """
 
-from repro.serve.client import AsyncServeClient, ServeClient, ServeError
+from repro.serve.client import AsyncServeClient, ServeError
 from repro.serve.loadgen import render_digest, run_loadgen
 from repro.serve.pool import WorkerPool
 from repro.serve.protocol import ProtocolError, Request
@@ -49,7 +54,6 @@ __all__ = [
     "DerivationServer",
     "ProtocolError",
     "Request",
-    "ServeClient",
     "ServeConfig",
     "ServeError",
     "WorkerPool",

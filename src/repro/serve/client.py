@@ -1,61 +1,29 @@
-"""Clients for the derivation server.
+"""The derivation server's client.
 
-Two flavors, both standard-library only:
+:class:`AsyncServeClient` is an asyncio client over one persistent
+connection, standard-library only, sharing the server's own wire
+implementation (:func:`repro.serve.protocol.read_response`); the load
+generator runs many of these concurrently.  Scripts that are not
+already async drive it under ``asyncio.run``.
 
-* :class:`ServeClient` — a blocking client over ``http.client`` with
-  one persistent connection; the right tool for scripts, examples and
-  benchmarks;
-* :class:`AsyncServeClient` — an asyncio client over one persistent
-  connection, sharing the server's own wire implementation
-  (:func:`repro.serve.protocol.read_response`); the load generator
-  runs many of these concurrently.
-
-Both speak the versioned envelopes (``repro.serve.request/v1`` in,
+It speaks the versioned envelopes (``repro.serve.request/v1`` in,
 ``repro.serve.response/v1`` out).  Transport failures raise
 :class:`ServeError`; HTTP-level failures do *not* raise — the response
-envelope carries ``ok``/``status``/``error`` and callers decide.  When
-the server sheds with ``Retry-After`` the parsed delay is surfaced as
-``envelope["retry_after"]`` (seconds) so callers — and the retry layer
-— can honor it.
-
-Both clients optionally take a :class:`repro.serve.resilience.RetryPolicy`
-and/or :class:`~repro.serve.resilience.CircuitBreaker`.  Without them
-(the default) behaviour is exactly the pre-resilience single attempt;
-with a policy, retryable statuses (500/503/504) and transport errors
-are retried under backoff and deadline budgets, and the final
-:class:`~repro.serve.resilience.RetryState` is exposed as
-``client.last_retry`` for outcome classification.
+envelope carries ``ok``/``status``/``error`` and callers decide.
 """
 
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
-import time
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.obs.schema import SERVE_REQUEST_SCHEMA
 from repro.serve.protocol import ProtocolError, read_response
-from repro.serve.resilience import (
-    CircuitBreaker,
-    CircuitOpenError,
-    RetryPolicy,
-    RetryState,
-    parse_retry_after,
-)
 
 
 class ServeError(Exception):
-    """The server could not be reached or broke the wire protocol.
-
-    ``retry_after`` carries the server's parsed ``Retry-After`` hint
-    (seconds) when the failure came with one, else ``None``.
-    """
-
-    def __init__(self, message: str, retry_after: Optional[float] = None):
-        super().__init__(message)
-        self.retry_after = retry_after
+    """The server could not be reached or broke the wire protocol."""
 
 
 def request_document(
@@ -68,228 +36,21 @@ def request_document(
     return document
 
 
-def _attach_retry_after(
-    parsed: Any, retry_after: Optional[float]
-) -> Optional[float]:
-    """Surface a parsed ``Retry-After`` on the envelope; returns it."""
-    if retry_after is not None and isinstance(parsed, dict):
-        parsed["retry_after"] = retry_after
-    return retry_after
-
-
-class ServeClient:
-    """Blocking client; one keep-alive connection, reconnects on demand."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8437,
-        timeout: float = 60.0,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retry = retry
-        self.breaker = breaker
-        self.last_retry: Optional[RetryState] = None
-        self._request_index = 0
-        self._connection: Optional[http.client.HTTPConnection] = None
-
-    # ------------------------------------------------------------------
-    def _connect(self) -> http.client.HTTPConnection:
-        if self._connection is None:
-            timeout = self.timeout
-            if self.retry is not None and self.retry.per_attempt_timeout:
-                timeout = self.retry.per_attempt_timeout
-            self._connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=timeout
-            )
-        return self._connection
-
-    def close(self) -> None:
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
-
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def _request_once(
-        self,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-        headers: Dict[str, str],
-    ) -> Tuple[int, Dict[str, Any], Optional[float]]:
-        """One attempt (with the historical stale-keep-alive reconnect)."""
-        for attempt in (1, 2):  # one reconnect on a stale keep-alive
-            connection = self._connect()
-            try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                payload = response.read()
-                break
-            except (ConnectionError, http.client.HTTPException, OSError) as exc:
-                self.close()
-                if attempt == 2:
-                    raise ServeError(
-                        f"{method} {path} to {self.host}:{self.port} "
-                        f"failed: {exc}"
-                    ) from exc
-        try:
-            parsed = json.loads(payload.decode("utf-8")) if payload else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ServeError(f"non-JSON response body: {exc}") from exc
-        retry_after = _attach_retry_after(
-            parsed, parse_retry_after(response.getheader("Retry-After"))
-        )
-        return response.status, parsed, retry_after
-
-    def _guarded_once(
-        self,
-        method: str,
-        path: str,
-        body: Optional[bytes],
-        headers: Dict[str, str],
-    ) -> Tuple[int, Dict[str, Any], Optional[float]]:
-        """One attempt through the circuit breaker (if any)."""
-        if self.breaker is not None and not self.breaker.allow():
-            raise CircuitOpenError(
-                f"circuit open for {self.host}:{self.port}"
-            )
-        try:
-            status, parsed, retry_after = self._request_once(
-                method, path, body, headers
-            )
-        except ServeError:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        if self.breaker is not None:
-            if status >= 500:
-                self.breaker.record_failure()
-            else:
-                self.breaker.record_success()
-        return status, parsed, retry_after
-
-    def request(
-        self,
-        method: str,
-        path: str,
-        document: Optional[Mapping[str, Any]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
-        """One round trip; returns ``(status, parsed JSON body)``.
-
-        With a :class:`RetryPolicy` installed, retryable statuses and
-        transport errors are retried under backoff until the policy's
-        budgets run out; the final journey is ``self.last_retry``.
-        """
-        body = (
-            json.dumps(document).encode("utf-8")
-            if document is not None
-            else None
-        )
-        headers = {"Content-Type": "application/json"} if body else {}
-        if self.retry is None:
-            status, parsed, _ = self._guarded_once(method, path, body, headers)
-            return status, parsed
-        self._request_index += 1
-        state = self.retry.start(seed_offset=self._request_index)
-        self.last_retry = state
-        while True:
-            error: Optional[ServeError] = None
-            status: Optional[int] = None
-            parsed: Dict[str, Any] = {}
-            retry_after: Optional[float] = None
-            try:
-                status, parsed, retry_after = self._guarded_once(
-                    method, path, body, headers
-                )
-            except ServeError as exc:
-                error = exc
-                retry_after = exc.retry_after
-            state.record_attempt(status)
-            if error is None and not self.retry.retryable_status(status):
-                state.finish(recovered=state.retried and status < 400)
-                return status, parsed
-            delay = state.next_delay(retry_after)
-            if delay is None:  # budget spent: exhausted
-                state.finish(recovered=False)
-                if error is not None:
-                    raise error
-                return status, parsed
-            time.sleep(delay)
-
-    # ------------------------------------------------------------------
-    def _op(
-        self, op: str, spec: str, options: Optional[Mapping[str, Any]]
-    ) -> Dict[str, Any]:
-        _, envelope = self.request(
-            "POST", f"/v1/{op}", request_document(spec, options)
-        )
-        return envelope
-
-    def derive(
-        self, spec: str, options: Optional[Mapping[str, Any]] = None
-    ) -> Dict[str, Any]:
-        """Derive; returns the response envelope (check ``ok``)."""
-        return self._op("derive", spec, options)
-
-    def lint(
-        self, spec: str, options: Optional[Mapping[str, Any]] = None
-    ) -> Dict[str, Any]:
-        return self._op("lint", spec, options)
-
-    def profile(
-        self, spec: str, options: Optional[Mapping[str, Any]] = None
-    ) -> Dict[str, Any]:
-        return self._op("profile", spec, options)
-
-    def healthz(self) -> Dict[str, Any]:
-        status, document = self.request("GET", "/healthz")
-        if status != 200:
-            raise ServeError(f"/healthz answered {status}")
-        return document
-
-    def metrics(self) -> Dict[str, Any]:
-        status, document = self.request("GET", "/metrics")
-        if status != 200:
-            raise ServeError(f"/metrics answered {status}")
-        return document
-
-
 class AsyncServeClient:
     """One persistent asyncio connection; the load generator's unit."""
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 60.0,
-        retry: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> None:
+    def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.retry = retry
-        self.breaker = breaker
-        self.last_retry: Optional[RetryState] = None
-        self._request_index = 0
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
 
     @classmethod
     async def connect(
-        cls, host: str, port: int, timeout: float = 60.0, **kwargs: Any
+        cls, host: str, port: int, timeout: float = 60.0
     ) -> "AsyncServeClient":
-        client = cls(host, port, timeout=timeout, **kwargs)
+        client = cls(host, port, timeout=timeout)
         await client._ensure_connected()
         return client
 
@@ -317,19 +78,22 @@ class AsyncServeClient:
             self._reader = self._writer = None
 
     # ------------------------------------------------------------------
-    async def _request_once(
+    async def request(
         self,
         method: str,
         path: str,
-        body: bytes,
-    ) -> Tuple[int, Dict[str, Any], Optional[float]]:
-        """One attempt; a *reused* connection that died gets one
-        reconnect-and-resend before the attempt fails.
+        document: Optional[Mapping[str, Any]] = None,
+    ) -> Tuple[int, Dict[str, Any]]:
+        """One round trip; raises :class:`ServeError` on transport failure.
 
-        The server drains and restarts between our requests more often
-        than one would hope; the EOF only shows up when we try the
+        A *reused* connection that died gets one reconnect-and-resend:
+        the server drains and restarts between our requests more often
+        than one would hope, and the EOF only shows up when we try the
         kept-alive socket.  A fresh connection failing is a real error.
         """
+        body = (
+            json.dumps(document).encode("utf-8") if document is not None else b""
+        )
         head = (
             f"{method} {path} HTTP/1.1\r\n"
             f"Host: {self.host}:{self.port}\r\n"
@@ -337,23 +101,20 @@ class AsyncServeClient:
             f"Content-Length: {len(body)}\r\n"
             f"\r\n"
         ).encode("latin-1")
-        timeout = self.timeout
-        if self.retry is not None and self.retry.per_attempt_timeout:
-            timeout = self.retry.per_attempt_timeout
         for attempt in (1, 2):
             reused = await self._ensure_connected()
             try:
                 self._writer.write(head + body)
                 await self._writer.drain()
                 status, headers, payload = await asyncio.wait_for(
-                    read_response(self._reader), timeout=timeout
+                    read_response(self._reader), timeout=self.timeout
                 )
                 break
             except asyncio.TimeoutError as exc:
                 await self.close()
                 raise ServeError(
                     f"{method} {path} to {self.host}:{self.port} "
-                    f"timed out after {timeout}s"
+                    f"timed out after {self.timeout}s"
                 ) from exc
             except (
                 ProtocolError,
@@ -374,77 +135,7 @@ class AsyncServeClient:
             parsed = json.loads(payload.decode("utf-8")) if payload else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServeError(f"non-JSON response body: {exc}") from exc
-        retry_after = _attach_retry_after(
-            parsed, parse_retry_after(headers.get("retry-after"))
-        )
-        return status, parsed, retry_after
-
-    async def _guarded_once(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, Any], Optional[float]]:
-        if self.breaker is not None and not self.breaker.allow():
-            raise CircuitOpenError(
-                f"circuit open for {self.host}:{self.port}"
-            )
-        try:
-            status, parsed, retry_after = await self._request_once(
-                method, path, body
-            )
-        except ServeError:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            raise
-        if self.breaker is not None:
-            if status >= 500:
-                self.breaker.record_failure()
-            else:
-                self.breaker.record_success()
-        return status, parsed, retry_after
-
-    async def request(
-        self,
-        method: str,
-        path: str,
-        document: Optional[Mapping[str, Any]] = None,
-    ) -> Tuple[int, Dict[str, Any]]:
-        """One round trip; raises :class:`ServeError` on transport failure.
-
-        With a :class:`RetryPolicy` installed, retryable statuses and
-        transport errors are retried under backoff; the final journey
-        is ``self.last_retry``.
-        """
-        body = (
-            json.dumps(document).encode("utf-8") if document is not None else b""
-        )
-        if self.retry is None:
-            status, parsed, _ = await self._guarded_once(method, path, body)
-            return status, parsed
-        self._request_index += 1
-        state = self.retry.start(seed_offset=self._request_index)
-        self.last_retry = state
-        while True:
-            error: Optional[ServeError] = None
-            status: Optional[int] = None
-            parsed: Dict[str, Any] = {}
-            retry_after: Optional[float] = None
-            try:
-                status, parsed, retry_after = await self._guarded_once(
-                    method, path, body
-                )
-            except ServeError as exc:
-                error = exc
-                retry_after = exc.retry_after
-            state.record_attempt(status)
-            if error is None and not self.retry.retryable_status(status):
-                state.finish(recovered=state.retried and status < 400)
-                return status, parsed
-            delay = state.next_delay(retry_after)
-            if delay is None:  # budget spent: exhausted
-                state.finish(recovered=False)
-                if error is not None:
-                    raise error
-                return status, parsed
-            await asyncio.sleep(delay)
+        return status, parsed
 
     async def post_op(
         self,

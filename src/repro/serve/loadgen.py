@@ -7,29 +7,16 @@ connection has at most one request outstanding) and latency numbers
 honest: there is no coordinated-omission window because the next
 request is not scheduled until the previous one answers.
 
-The outcome is one ``repro.obs.loadgen/v2`` JSON report: request
+The outcome is one ``repro.obs.loadgen/v3`` JSON report: request
 counts by verdict (``ok`` 2xx / ``shed`` 503 / ``failed`` everything
 else including transport errors), status and cache-verdict
 distributions, wall-clock throughput, and exact latency percentiles
 computed from the raw per-request samples (not bucket estimates).
-
-v2 adds the retry outcome classification.  With a
-:class:`repro.serve.resilience.RetryPolicy` installed (``retry=`` /
-``repro loadgen --retries``), each request is further classified:
-
-* ``recovered`` — failed at least once, then landed a 2xx (a subset
-  of ``ok``; the shed-then-recovered story the chaos suite proves);
-* ``exhausted`` — the retry budget ran out still failing (these land
-  in ``shed``/``failed`` by their final status);
-* ``retries`` — total attempts beyond first, across all requests.
-
-Latency samples then measure the whole journey (attempts + backoff),
-because that is what a caller experiences.
+Every request is one attempt; a shed request is counted, not retried.
 
 This is how the server's performance claims stay *measured*: the CI
 ``serve-smoke`` job runs two identical bursts and asserts zero failed
-requests and a 100%-cache-hit second burst, the ``chaos-smoke`` job
-asserts zero lost requests under fault plans, and
+requests and a 100%-cache-hit second burst, and
 ``benchmarks/bench_serve.py`` tracks warm-cache throughput.
 """
 
@@ -41,7 +28,6 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.obs.schema import LOADGEN_SCHEMA
 from repro.serve.client import AsyncServeClient, ServeError
-from repro.serve.resilience import RetryPolicy
 
 
 def percentile(samples: List[float], q: float) -> float:
@@ -61,15 +47,12 @@ async def run_loadgen(
     connections: int = 16,
     requests: int = 100,
     timeout: float = 60.0,
-    retry: Optional[RetryPolicy] = None,
 ) -> Dict[str, Any]:
     """Drive ``requests`` total requests over ``connections`` loops.
 
-    Returns the ``repro.obs.loadgen/v2`` report.  Never raises on
+    Returns the ``repro.obs.loadgen/v3`` report.  Never raises on
     per-request failures — they become ``failed`` rows (status ``0``
     for transport errors); the caller decides what failure means.
-    ``retry`` installs a resilience policy on every connection's
-    client and enables the recovered/exhausted classification.
     """
     if connections < 1:
         raise ValueError("connections must be >= 1")
@@ -80,24 +63,11 @@ async def run_loadgen(
     latencies_ms: List[float] = []
     statuses: Dict[str, int] = {}
     cache_verdicts = {"hit": 0, "miss": 0, "off": 0}
-    ok = shed = failed = recovered = exhausted = retries = 0
+    ok = shed = failed = 0
 
-    def _classify_journey(client: AsyncServeClient, succeeded: bool) -> None:
-        nonlocal recovered, exhausted, retries
-        state = client.last_retry
-        if state is None:
-            return
-        retries += state.attempts - 1
-        if state.exhausted:
-            exhausted += 1
-        elif succeeded and state.retried:
-            recovered += 1
-
-    async def one_connection(index: int) -> None:
+    async def one_connection() -> None:
         nonlocal remaining, ok, shed, failed
-        client = AsyncServeClient(host, port, timeout=timeout, retry=retry)
-        # Distinct deterministic jitter stream per connection.
-        client._request_index = index * max(requests, 1)
+        client = AsyncServeClient(host, port, timeout=timeout)
         try:
             while remaining > 0:
                 remaining -= 1
@@ -107,7 +77,6 @@ async def run_loadgen(
                 except ServeError:
                     failed += 1
                     statuses["0"] = statuses.get("0", 0) + 1
-                    _classify_journey(client, succeeded=False)
                     continue
                 latencies_ms.append((time.perf_counter() - started) * 1000)
                 statuses[str(status)] = statuses.get(str(status), 0) + 1
@@ -122,16 +91,12 @@ async def run_loadgen(
                     shed += 1
                 else:
                     failed += 1
-                _classify_journey(client, succeeded=200 <= status < 300)
         finally:
             await client.close()
 
     started = time.perf_counter()
     await asyncio.gather(
-        *(
-            one_connection(index)
-            for index in range(min(connections, requests))
-        )
+        *(one_connection() for _ in range(min(connections, requests)))
     )
     duration_s = time.perf_counter() - started
 
@@ -147,9 +112,6 @@ async def run_loadgen(
         "ok": ok,
         "shed": shed,
         "failed": failed,
-        "recovered": recovered,
-        "exhausted": exhausted,
-        "retries": retries,
         "statuses": statuses,
         "cache": cache_verdicts,
         "duration_s": round(duration_s, 6),
@@ -173,7 +135,7 @@ async def run_loadgen(
 def render_digest(report: Dict[str, Any]) -> str:
     """The stderr one-liner ``repro loadgen`` prints."""
     latency = report["latency_ms"]
-    line = (
+    return (
         f"loadgen: {report['op']} x{report['completed']} over "
         f"{report['connections']} connection(s): "
         f"{report['ok']} ok, {report['shed']} shed, {report['failed']} failed; "
@@ -181,10 +143,3 @@ def render_digest(report: Dict[str, Any]) -> str:
         f"p50={latency['p50']:.1f}ms p95={latency['p95']:.1f}ms "
         f"p99={latency['p99']:.1f}ms"
     )
-    if report.get("retries"):
-        line += (
-            f"; {report['retries']} retry(ies), "
-            f"{report['recovered']} recovered, "
-            f"{report['exhausted']} exhausted"
-        )
-    return line

@@ -20,7 +20,9 @@ Robustness contract:
   document; the worker process is left to finish (or be recycled);
 * **broken-pool respawn** — a worker pool that dies (OOM-killed
   child, interpreter crash) fails only the requests in flight; the
-  pool is respawned and the next request runs normally.
+  pool is respawned and the next request runs normally.  A respawn
+  that itself fails leaves the pool down: each request then tries to
+  spawn it again and answers ``internal`` while that keeps failing.
 
 ``kind="thread"`` swaps the process pool for threads — no pickling,
 no fork cost — which tests, benchmarks and ``repro serve --workers-kind
@@ -40,7 +42,6 @@ from repro.batch.workers import (
     run_task,
     timeout_document,
 )
-from repro.chaos import PoolSpawnInjected, get_chaos
 
 
 class WorkerPool:
@@ -69,13 +70,6 @@ class WorkerPool:
             self._executor = self._make()
 
     def _make(self) -> Any:
-        chaos = get_chaos()
-        if chaos is not None:
-            directive = chaos.decide("pool.spawn", worker_kind=self.kind)
-            if directive is not None:
-                raise PoolSpawnInjected(
-                    "chaos: injected executor-construction failure"
-                )
         if self.kind == "thread" and self._executor_factory is None:
             return ThreadPoolExecutor(self.workers)
         return make_executor(self.workers, self._executor_factory)
@@ -91,9 +85,9 @@ class WorkerPool:
             try:
                 self._executor = self._make()
             except Exception:
-                # Stay down (spawn itself failed — injected or real);
-                # the next request's start() tries again rather than
-                # wedging the server now.
+                # Stay down (spawn itself failed, e.g. out of file
+                # descriptors); the next request's start() tries again
+                # rather than wedging the server now.
                 self._executor = None
             else:
                 self.respawns += 1
@@ -118,65 +112,42 @@ class WorkerPool:
         ...}`` or ``{"ok": False, "kind": ..., "error": ...}``), with
         two parent-side failure kinds added: ``timeout`` for a task
         that outlived ``timeout`` seconds, and ``internal`` with a
-        respawn for a pool that broke underneath it.
-
-        Fault injection: the chaos controller (if active) is consulted
-        here — the worker process cannot hold it — and its directive
-        ships with the task.  Parent-side failure envelopes caused by
-        a directive carry ``"injected": True``.
+        respawn for a pool that broke underneath it.  A pool that is
+        down and cannot be spawned answers ``internal`` too.
         """
-        directive = None
-        chaos = get_chaos()
-        if chaos is not None:
-            directive = chaos.decide("worker.task", op=op)
-        injected = directive is not None
-
-        def _tag(envelope: Dict[str, Any]) -> Dict[str, Any]:
-            if injected and not envelope.get("ok"):
-                envelope["injected"] = True
-            return envelope
 
         def _submit() -> Any:
             if self._executor is None:
                 self.start()
-            return self._executor.submit(run_task, op, text, options, directive)
+            return self._executor.submit(run_task, op, text, options)
 
         try:
             future = _submit()
-        except (BrokenExecutor, RuntimeError, PoolSpawnInjected) as exc:
-            # The pool broke between requests: respawn and retry once.
+        except Exception:
+            # The pool broke between requests, or is down and its spawn
+            # failed: respawn and retry once.
             self._respawn()
             try:
                 future = _submit()
-            except Exception as exc2:  # still down: give up on this request
-                envelope = {"ok": False, "kind": "internal",
-                            "error": error_document(exc2)}
-                if isinstance(exc2, PoolSpawnInjected) or isinstance(
-                    exc, PoolSpawnInjected
-                ):
-                    envelope["injected"] = True
-                return envelope
-            del exc
+            except Exception as exc:  # still down: give up on this request
+                return {"ok": False, "kind": "internal",
+                        "error": error_document(exc)}
         try:
-            return _tag(await asyncio.wait_for(
+            return await asyncio.wait_for(
                 asyncio.wrap_future(future), timeout
-            ))
+            )
         except asyncio.TimeoutError:
             future.cancel()
-            return _tag({
+            return {
                 "ok": False,
                 "kind": "timeout",
                 "error": timeout_document(timeout),
-            })
+            }
         except BrokenExecutor as exc:
             self._respawn()
-            return _tag(
-                {"ok": False, "kind": "internal", "error": error_document(exc)}
-            )
+            return {"ok": False, "kind": "internal", "error": error_document(exc)}
         except asyncio.CancelledError:
             future.cancel()
             raise
         except Exception as exc:  # cancelled future during shutdown, etc.
-            return _tag(
-                {"ok": False, "kind": "internal", "error": error_document(exc)}
-            )
+            return {"ok": False, "kind": "internal", "error": error_document(exc)}

@@ -46,7 +46,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.batch.cache import EntityCache
 from repro.batch.workers import stats_document
-from repro.chaos import get_chaos
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import (
     SERVE_OPS,
@@ -111,10 +110,6 @@ class DerivationServer:
             kind=self.config.worker_kind,
             executor_factory=executor_factory,
         )
-        chaos = get_chaos()
-        if chaos is not None:
-            # Injected faults show up on GET /metrics as chaos.*.
-            chaos.bind_registry(self.registry)
         self._server: Optional[asyncio.AbstractServer] = None
         self._active = 0  # admitted op requests in the house
         self._idle = asyncio.Event()
@@ -194,27 +189,12 @@ class DerivationServer:
                     break
                 status, document, extra = await self._dispatch(request)
                 keep_alive = request.keep_alive and not self._draining
-                payload = render_json_response(
-                    status, document, keep_alive=keep_alive,
-                    extra_headers=extra,
-                )
-                chaos = get_chaos()
-                if chaos is not None and request.target.startswith("/v1/"):
-                    # Op responses only: /healthz and /metrics are the
-                    # control plane and stay reliable under chaos.
-                    directive = chaos.decide(
-                        "server.response", route=request.target
+                writer.write(
+                    render_json_response(
+                        status, document, keep_alive=keep_alive,
+                        extra_headers=extra,
                     )
-                    if (
-                        directive is not None
-                        and directive["kind"] == "drop_connection"
-                    ):
-                        writer.write(
-                            payload[: int(directive.get("drop_bytes", 20))]
-                        )
-                        await writer.drain()
-                        break  # tear the connection mid-response
-                writer.write(payload)
+                )
                 await writer.drain()
                 if not keep_alive:
                     break
@@ -371,14 +351,6 @@ class DerivationServer:
         request_id: str,
         started: float,
     ):
-        chaos = get_chaos()
-        if chaos is not None:
-            directive = chaos.decide("server.handler", op=op)
-            if directive is not None and directive["kind"] == "latency":
-                await asyncio.sleep(
-                    float(directive.get("latency_ms", 25.0)) / 1000
-                )
-
         cache_verdict = "off"
         key: Optional[str] = None
         if op == "derive" and self.cache is not None:

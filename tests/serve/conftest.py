@@ -13,7 +13,7 @@ EXAMPLE_SPEC = "SPEC a1; exit >> b2; exit ENDSPEC"
 
 
 @asynccontextmanager
-async def running_server(**overrides):
+async def running_server(executor_factory=None, **overrides):
     """Start a server with config overrides; always drains on exit."""
     defaults = dict(
         port=0,
@@ -23,7 +23,9 @@ async def running_server(**overrides):
         access_log=False,
     )
     defaults.update(overrides)
-    server = DerivationServer(ServeConfig(**defaults))
+    server = DerivationServer(
+        ServeConfig(**defaults), executor_factory=executor_factory
+    )
     await server.start()
     try:
         yield server

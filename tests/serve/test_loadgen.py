@@ -43,6 +43,7 @@ class TestRunLoadgen:
 
         report = asyncio.run(main())
         assert validate_loadgen(report) == []
+        assert not {"recovered", "exhausted", "retries"} & set(report)
         assert report["completed"] == 20
         assert report["ok"] == 20
         assert report["failed"] == 0

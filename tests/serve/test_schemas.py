@@ -96,7 +96,7 @@ class TestResponseValidator:
 class TestLoadgenValidator:
     def good(self):
         return {
-            "schema": "repro.obs.loadgen/v2",
+            "schema": "repro.obs.loadgen/v3",
             "op": "derive",
             "target": "127.0.0.1:8437",
             "connections": 4,
@@ -105,9 +105,6 @@ class TestLoadgenValidator:
             "ok": 16,
             "shed": 0,
             "failed": 0,
-            "recovered": 0,
-            "exhausted": 0,
-            "retries": 0,
             "statuses": {"200": 16},
             "cache": {"hit": 15, "miss": 1, "off": 0},
             "duration_s": 0.25,
@@ -136,12 +133,9 @@ class TestLoadgenValidator:
         del document["cache"]["off"]
         assert any("cache" in p for p in validate_loadgen(document))
 
-    def test_rejects_v1_reports_missing_retry_fields(self):
+    def test_rejects_retired_v2_reports(self):
+        """v3 dropped v2's retry counts; a v2 report no longer validates."""
         document = self.good()
-        document["schema"] = "repro.obs.loadgen/v1"
-        del document["recovered"]
-        del document["exhausted"]
-        del document["retries"]
-        problems = validate_loadgen(document)
-        assert any("schema" in p for p in problems)
-        assert any("retries" in p for p in problems)
+        document["schema"] = "repro.obs.loadgen/v2"
+        document.update(recovered=0, exhausted=0, retries=0)
+        assert any("schema" in p for p in validate_loadgen(document))

@@ -3,7 +3,7 @@
 import asyncio
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -12,7 +12,7 @@ import repro.batch.workers as workers
 from repro.batch.cache import EntityCache
 from repro.core.generator import derive_protocol
 from repro.obs.schema import validate_metrics, validate_serve_response
-from repro.serve.client import AsyncServeClient
+from repro.serve.client import AsyncServeClient, request_document
 from tests.serve.conftest import EXAMPLE_SPEC, running_server
 
 
@@ -291,19 +291,8 @@ class TestTimeouts:
 
 class TestBrokenPool:
     def test_broken_pool_fails_one_request_then_respawns(self):
-        class BrokenOnceFactory:
-            """First executor breaks every submit; respawn gets a real one."""
-
-            def __init__(self):
-                self.spawned = 0
-
-            def __call__(self, workers):
-                self.spawned += 1
-                if self.spawned == 1:
-                    return _BrokenExecutor()
-                return ThreadPoolExecutor(workers)
-
-        factory = BrokenOnceFactory()
+        # first executor breaks every submit; respawn gets a real one
+        factory = _SpawnSequence(_BrokenExecutor)
 
         async def main():
             from repro.serve.server import DerivationServer, ServeConfig
@@ -330,10 +319,103 @@ class TestBrokenPool:
 
         asyncio.run(main())
 
+    def test_worker_dying_mid_task_is_500_then_respawns(self):
+        """The task is accepted, then its worker dies: the future fails
+        with ``BrokenProcessPool``, the request answers 500 and the
+        pool is respawned for the next one."""
+        factory = _SpawnSequence(_DiesMidTaskExecutor)
+
+        async def main():
+            async with running_server(
+                workers=1, executor_factory=factory
+            ) as server:
+                client = AsyncServeClient(*server.address)
+                status, envelope = await client.post_op("derive", EXAMPLE_SPEC)
+                assert status == 500
+                assert envelope["error"]["type"] == "BrokenProcessPool"
+                assert server.pool.respawns == 1
+                status, envelope = await client.post_op("derive", EXAMPLE_SPEC)
+                assert status == 200 and envelope["ok"]
+                await client.close()
+
+        asyncio.run(main())
+
+    def test_spawn_failure_while_down_is_500_not_a_dropped_connection(self):
+        """The pool breaks, and respawning it fails for a while (as when
+        the process is out of file descriptors).  Every request still
+        gets an answer: 500 while spawning fails, 200 once it works."""
+
+        def too_many_open_files():
+            raise OSError(24, "Too many open files")
+
+        factory = _SpawnSequence(
+            _BrokenExecutor, *[too_many_open_files] * 3
+        )
+
+        async def fresh_request(server, method, path, document=None):
+            # A fresh connection per request: the client's one resend on
+            # a stale kept-alive connection must not hide a dropped one.
+            client = AsyncServeClient(*server.address)
+            try:
+                return await client.request(method, path, document)
+            finally:
+                await client.close()
+
+        async def main():
+            async with running_server(
+                workers=1, executor_factory=factory
+            ) as server:
+                derive = request_document(EXAMPLE_SPEC)
+                status, envelope = await fresh_request(
+                    server, "POST", "/v1/derive", derive
+                )
+                assert status == 500
+                assert envelope["error"]["type"] == "OSError"
+                status, envelope = await fresh_request(
+                    server, "POST", "/v1/derive", derive
+                )
+                assert status == 200 and envelope["ok"]
+                status, health = await fresh_request(server, "GET", "/healthz")
+                assert status == 200 and health["status"] == "ok"
+            assert factory.spawned == 5
+
+        asyncio.run(main())
+
+
+class _SpawnSequence:
+    """An ``executor_factory`` whose first spawns are scripted.
+
+    Each scripted spawn is a zero-argument callable returning an
+    executor (or raising); spawns past the script get a real thread
+    pool.
+    """
+
+    def __init__(self, *script):
+        self.script = list(script)
+        self.spawned = 0
+
+    def __call__(self, workers):
+        self.spawned += 1
+        if self.script:
+            return self.script.pop(0)()
+        return ThreadPoolExecutor(workers)
+
 
 class _BrokenExecutor:
     def submit(self, fn, *args, **kwargs):
         raise BrokenProcessPool("worker died")
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class _DiesMidTaskExecutor:
+    """Accepts every task; its worker then dies before answering."""
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_exception(BrokenProcessPool("worker died mid-task"))
+        return future
 
     def shutdown(self, wait=True, cancel_futures=False):
         pass
