@@ -7,6 +7,9 @@ reports only that its Prolog PG was "effective"; these benchmarks give
 the reproduction a concrete derivation-cost profile.
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from repro import workloads
@@ -97,3 +100,20 @@ def test_derive_1986_subset_mode(benchmark):
 
     result = benchmark(run)
     assert result.entities
+
+
+def test_cold_cli_derive_for_comparison(benchmark, tmp_path):
+    """One whole `repro derive` process: interpreter and CLI startup included."""
+    spec_path = tmp_path / "example.lotos"
+    spec_path.write_text(workloads.EXAMPLE4_SEQUENCE + "\n")
+
+    def cold_cli():
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "derive", str(spec_path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    proc = benchmark.pedantic(cold_cli, rounds=3, iterations=1)
+    assert proc.returncode == 0, proc.stderr

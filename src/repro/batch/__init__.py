@@ -20,11 +20,7 @@ Three modules:
   stats, with hit/miss/evict counters in :mod:`repro.obs.metrics`;
 * **scheduler** (:mod:`repro.batch.scheduler`) — the worker-pool runner
   behind ``repro batch``, emitting one ``repro.obs.batch/v1`` summary
-  per run (one failing spec never aborts the corpus);
-* **workers** (:mod:`repro.batch.workers`) — the picklable task entry
-  points (``derive``/``lint``/``profile``), the in-worker failure
-  containment wrapper and the error/timeout documents shared with the
-  :mod:`repro.serve` request pool, so batch and serve cannot drift.
+  per run (one failing spec never aborts the corpus).
 
 Typical use::
 
@@ -42,28 +38,14 @@ and the CI perf-gate built on top.
 from repro.batch.cache import EntityCache, cache_key, canonicalize_spec_text
 from repro.batch.manifest import SpecCase, corpus_from_texts, load_corpus
 from repro.batch.scheduler import BatchOutcome, run_batch
-from repro.batch.workers import (
-    TASKS,
-    error_document,
-    make_executor,
-    run_task,
-    stats_document,
-    timeout_document,
-)
 
 __all__ = [
     "BatchOutcome",
     "EntityCache",
     "SpecCase",
-    "TASKS",
     "cache_key",
     "canonicalize_spec_text",
     "corpus_from_texts",
-    "error_document",
     "load_corpus",
-    "make_executor",
     "run_batch",
-    "run_task",
-    "stats_document",
-    "timeout_document",
 ]

@@ -26,31 +26,23 @@ carrying the ``batch.cache.*`` and ``batch.*`` counters.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+import traceback
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.batch.cache import EntityCache, canonicalize_spec_text
 from repro.batch.manifest import SpecCase
-from repro.batch.workers import (
-    error_document,
-    make_executor,
-    stats_document,
-    timeout_document,
-)
 from repro.core.generator import (
+    DEFAULT_SPLIT_BYTES,
     derive_place_task,
     derive_task,
     list_places_task,
 )
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.schema import BATCH_SCHEMA
+from repro.obs.schema import BATCH_SCHEMA, PROFILE_SCHEMA
 from repro.obs.spans import TRACE_SCHEMA
-
-#: Specifications whose canonical text reaches this size fan out one
-#: task per place instead of one task per spec.
-DEFAULT_SPLIT_BYTES = 4096
 
 
 @dataclass
@@ -204,7 +196,7 @@ def _run_pool(
 ) -> bool:
     """Run the cache misses on a pool; returns whether it degraded."""
     degraded = False
-    pool = make_executor(workers, executor_factory)
+    pool = (executor_factory or ProcessPoolExecutor)(workers)
     try:
         pending: Dict[Future, Tuple[_Pending, str, Optional[int]]] = {}
         states: Dict[str, _Pending] = {}
@@ -339,8 +331,53 @@ def _assemble(state: _Pending) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Shared row/summary assembly.
+# Row, summary and cache-entry document assembly.
 # ----------------------------------------------------------------------
+def error_document(exc: BaseException) -> Dict[str, str]:
+    """The JSON shape a task failure takes in a summary row."""
+    return {
+        "type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": "".join(
+            traceback.format_exception(type(exc), exc, exc.__traceback__)
+        ),
+    }
+
+
+def timeout_document(timeout: Optional[float]) -> Dict[str, str]:
+    """The failure document of a task that outlived its budget."""
+    return {
+        "type": "TimeoutError",
+        "message": f"task exceeded {timeout}s wall-clock budget",
+        "traceback": "",
+    }
+
+
+def stats_document(name: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
+    """A ``repro.obs.profile/v1`` stats document for one cache entry.
+
+    The scheduler does not execute or verify, so the runs/medium
+    sections are empty, but keeping the profile shape means one schema
+    validates ``repro profile`` output and cached derivation stats
+    alike.
+    """
+    return {
+        "schema": PROFILE_SCHEMA,
+        "source": name,
+        "places": payload["places"],
+        "derivation": {
+            "places": len(payload["places"]),
+            "sync_fragments": payload["sync_fragments"],
+            "violations": payload["violations"],
+        },
+        "verification": None,
+        "runs": [],
+        "medium": {"queue_high_water": {}},
+        "trace": payload.get("trace"),
+        "metrics": payload.get("metrics"),
+    }
+
+
 def _finish(
     case: SpecCase,
     key: Optional[str],

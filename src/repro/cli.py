@@ -1,6 +1,6 @@
-"""Command-line front ends: ``repro`` and the legacy ``lotos-pg``.
+"""Command-line front end: ``repro`` and its ``lotos-pg`` alias.
 
-``repro`` is the subcommand interface::
+``repro`` is one argparse tree with four subcommands::
 
     repro lint service.lotos                    # static analysis only
     repro lint service.lotos --format json      # machine-readable output
@@ -12,43 +12,264 @@
     repro batch corpus/ --workers 4             # parallel, cached corpus run
     repro --version
 
-Diagnostic output (lint warnings, traces, stats, profile digests) goes
-to stderr so stdout stays pipeable; ``--quiet`` silences the
-informational stderr chatter of every subcommand.
+``repro derive`` is the Protocol Generator: it reads a service
+specification (file, or stdin for ``-``), checks it, derives the
+protocol entity specification of every place, and optionally verifies
+the correctness theorem, reports message complexity, or executes random
+schedules::
 
-``lotos-pg`` is the original flag-style Protocol Generator (kept as an
-alias of ``repro derive``): reads a service specification (file or
-stdin), checks it, derives the protocol entity specification of every
-place, and optionally verifies the correctness theorem, reports message
-complexity, or executes random schedules::
+    repro derive service.lotos --place 2        # one entity
+    repro derive service.lotos --verify         # Section 5 check
+    repro derive service.lotos --complexity     # Section 4.3 counts
+    repro derive service.lotos --run 5          # execute 5 schedules
+    repro derive service.lotos --attributes     # SP/EP/AP table (Fig. 4)
 
-    lotos-pg service.lotos                      # derive all entities
-    lotos-pg service.lotos --place 2            # one entity
-    lotos-pg service.lotos --verify             # Section 5 check
-    lotos-pg service.lotos --complexity         # Section 4.3 counts
-    lotos-pg service.lotos --run 5              # execute 5 schedules
-    lotos-pg service.lotos --attributes         # SP/EP/AP table (Fig. 4)
+``lotos-pg ARGS`` is the original name of the tool and runs
+``repro derive ARGS``.
+
+Diagnostic output (lint warnings, traces, stats, digests) goes to
+stderr so stdout stays pipeable; ``--quiet`` silences the informational
+stderr chatter of every subcommand.  Exit codes: 0 ok, 1 a failed
+derivation/spec (or lint findings), 2 a usage error or unreadable input.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.complexity import analyze
-from repro.core.generator import derive_protocol
+from repro.core.generator import DEFAULT_SPLIT_BYTES, derive_protocol
 from repro.errors import ReproError
 from repro.lotos.unparse import unparse_behaviour
 from repro.runtime import build_system, check_run, random_run
 
+COMMANDS = ("lint", "derive", "profile", "batch")
+
+
+class _RootExit(SystemExit):
+    """An exit of the root parser, returned (not raised) by :func:`repro_main`."""
+
+
+class _ReproParser(argparse.ArgumentParser):
+    # ``repro --help``, ``repro --version`` and root usage errors become
+    # return codes of repro_main; subcommand parsers are plain
+    # ArgumentParsers and raise SystemExit as argparse always does.
+    def exit(self, status: int = 0, message: Optional[str] = None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _RootExit(status)
+
+
+class _UsageError(Exception):
+    """Bad input found after parsing (an unreadable file, no specs given):
+    reported as ``error: ...`` with exit code 2."""
+
+
+def _number(convert: Callable[[str], float], minimum: float, strict: bool = False):
+    """An argparse ``type=`` that rejects values below ``minimum``.
+
+    With ``strict`` the minimum itself is rejected too (and NaN always
+    is), so a bad value is a usage error at parse time.
+    """
+
+    def parse(text: str):
+        value = convert(text)
+        if not (value > minimum if strict else value >= minimum):
+            bound = f"> {minimum}" if strict else f">= {minimum}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # "invalid int value: 'x'"
+    return parse
+
+
+_COUNT = _number(int, 0)
+_POSITIVE_INT = _number(int, 0, strict=True)
+_POSITIVE_FLOAT = _number(float, 0, strict=True)
+
+
+def _package_version() -> str:
+    """The installed distribution version, or the source tree's."""
+    try:
+        from importlib.metadata import version
+
+        return version("repro")
+    except Exception:
+        import repro
+
+        return getattr(repro, "__version__", "unknown")
+
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lotos-pg",
+    """The ``repro`` parser; each subcommand names its ``handler``."""
+    version = _package_version()
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--quiet",
+        action="store_true",
+        help="suppress informational stderr output (lint warnings, "
+        "digests); `repro lint --quiet` prints nothing and its exit "
+        "status is the verdict",
+    )
+    common.add_argument(
+        "--version", action="version", version=f"%(prog)s {version}"
+    )
+
+    parser = _ReproParser(
+        prog="repro",
+        description="Derive protocol entity specifications from LOTOS "
+        "service specifications (Kant/Higashino/Bochmann algorithm).",
+    )
+    parser.add_argument(
+        "-V", "--version", action="version", version=f"%(prog)s {version}"
+    )
+    commands = parser.add_subparsers(
+        title="commands", dest="command", parser_class=argparse.ArgumentParser
+    )
+    _add_lint(commands, common)
+    _add_derive(commands, common)
+    _add_profile(commands, common)
+    _add_batch(commands, common)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """``lotos-pg``: the original name of ``repro derive``."""
+    return repro_main(["derive", *(sys.argv[1:] if argv is None else argv)])
+
+
+def repro_main(argv: Optional[Sequence[str]] = None) -> int:
+    arguments: List[str] = list(sys.argv[1:] if argv is None else argv)
+    parser = make_parser()
+    try:
+        command = arguments[0] if arguments else "-"
+        if command not in COMMANDS and not command.startswith("-"):
+            print(f"error: unknown command {command!r}", file=sys.stderr)
+            parser.print_usage(sys.stderr)
+            return 2
+        try:
+            args = parser.parse_args(arguments)
+        except _RootExit as exc:
+            return exc.code
+        if args.command is None:
+            parser.print_help()
+            return 2
+        return args.handler(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # A downstream reader (`repro lint ... | head`) closed stdout
+        # early.  Swallow the write error and keep the interpreter's
+        # shutdown flush from raising again, instead of a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _read_spec(path: str) -> Tuple[str, str]:
+    """The text of a specification file (stdin for ``-``) and its display name."""
+    try:
+        if path == "-":
+            return sys.stdin.read(), "<stdin>"
+        with open(path, encoding="utf-8") as handle:
+            return handle.read(), path
+    except OSError as exc:
+        raise _UsageError(exc) from exc
+
+
+# ----------------------------------------------------------------------
+# ``repro lint``
+# ----------------------------------------------------------------------
+def _add_lint(commands, common: argparse.ArgumentParser) -> None:
+    parser = commands.add_parser(
+        "lint",
+        parents=[common],
+        help="static analysis of a service specification",
+        description="Static analysis of LOTOS service specifications: "
+        "admissibility (R1-R3, grammar) plus lint rules for legal-but-"
+        "suspect constructs.  See docs/lint.md for the rule catalogue.",
+    )
+    parser.add_argument(
+        "specs",
+        nargs="*",
+        help="specification files, or '-' for stdin",
+    )
+    parser.add_argument(
+        "--format",
+        choices=["text", "json"],
+        default="text",
+        help="output format (json follows the stable schema in docs/lint.md)",
+    )
+    parser.add_argument(
+        "--strict",
+        action="store_true",
+        help="exit non-zero on warnings, not only on errors",
+    )
+    parser.add_argument(
+        "--mixed-choice",
+        action="store_true",
+        help="lint for a --mixed-choice derivation (arbiter-resolvable "
+        "R1 violations and L009 are not reported)",
+    )
+    parser.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the registered rules and exit",
+    )
+    parser.set_defaults(handler=_lint)
+
+
+def _lint(args: argparse.Namespace) -> int:
+    from repro.analysis.lint import RULES, lint_text
+
+    if args.list_rules:
+        for rule in sorted(RULES.values(), key=lambda r: r.id):
+            print(f"{rule.id}  {rule.name:<26} {rule.severity:<8} {rule.summary}")
+        return 0
+    if not args.specs:
+        raise _UsageError("no specification files given")
+
+    results = []
+    for path in args.specs:
+        text, source = _read_spec(path)
+        results.append(
+            lint_text(text, source=source, mixed_choice=args.mixed_choice)
+        )
+
+    if args.quiet:
+        pass  # exit status only, grep -q style
+    elif args.format == "json":
+        if len(results) == 1:
+            print(results[0].render_json())
+        else:
+            document = {
+                "version": results[0].to_dict()["version"],
+                "results": [result.to_dict() for result in results],
+            }
+            print(json.dumps(document, indent=2))
+    else:
+        for result in results:
+            print(result.render_text())
+
+    failed = any(
+        not result.ok or (args.strict and result.warnings) for result in results
+    )
+    return 1 if failed else 0
+
+
+# ----------------------------------------------------------------------
+# ``repro derive`` (``lotos-pg``)
+# ----------------------------------------------------------------------
+def _add_derive(commands, common: argparse.ArgumentParser) -> None:
+    parser = commands.add_parser(
+        "derive",
+        parents=[common],
+        help="derive protocol entities (also installed as lotos-pg)",
         description="Derive protocol entity specifications from a LOTOS "
         "service specification (Kant/Higashino/Bochmann algorithm).",
     )
@@ -102,7 +323,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--run",
-        type=int,
+        type=_COUNT,
         default=0,
         metavar="N",
         help="execute N random schedules through the FIFO medium",
@@ -134,11 +355,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="emit Graphviz DOT: the attributed derivation tree (Fig. 4) "
         "or the service LTS",
     )
-    _add_observability_flags(parser)
-    return parser
-
-
-def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace",
         action="store_true",
@@ -153,69 +369,19 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         metavar="FORMAT",
         help="print a metrics snapshot to stderr (text, or --stats=json)",
     )
-    _add_common_flags(parser)
+    parser.set_defaults(handler=_derive)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress informational stderr output (lint warnings, digests)",
-    )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {_package_version()}",
-    )
-
-
-def _package_version() -> str:
-    """The installed distribution version, or the source tree's."""
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:
-        import repro
-
-        return getattr(repro, "__version__", "unknown")
-
-
-def _broken_pipe_exit() -> int:
-    # A downstream reader (`repro lint ... | head`) closed stdout early.
-    # Swallow the write error and keep the interpreter's shutdown flush
-    # from raising again, instead of dumping a traceback.
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, sys.stdout.fileno())
-    return 1
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _derive_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
-
-
-def _derive_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
-    try:
-        text = (
-            sys.stdin.read()
-            if args.service == "-"
-            else open(args.service, encoding="utf-8").read()
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _derive(args: argparse.Namespace) -> int:
+    text, source = _read_spec(args.service)
     if not (args.trace or args.stats):
-        return _derive_body(args, text)
+        return _derive_body(args, text, source)
     # Observe the whole derivation (and whatever --verify/--run add) and
     # report on stderr afterwards, even when the body exits early.
     from repro.obs import observe
 
     with observe() as obs:
-        code = _derive_body(args, text)
+        code = _derive_body(args, text, source)
     if args.trace:
         print(obs.tracer.render(), file=sys.stderr)
     if args.stats == "json":
@@ -225,11 +391,9 @@ def _derive_main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
-def _derive_body(args: argparse.Namespace, text: str) -> int:
+def _derive_body(args: argparse.Namespace, text: str, source: str) -> int:
     if not args.quiet:
-        _surface_lint_warnings(
-            text, args.service, mixed_choice=args.mixed_choice
-        )
+        _surface_lint_warnings(text, source, mixed_choice=args.mixed_choice)
 
     try:
         result = derive_protocol(
@@ -395,9 +559,11 @@ def _surface_lint_warnings(
 # ----------------------------------------------------------------------
 # ``repro profile``
 # ----------------------------------------------------------------------
-def make_profile_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
+def _add_profile(commands, common: argparse.ArgumentParser) -> None:
+    parser = commands.add_parser(
+        "profile",
+        parents=[common],
+        help="derive + verify + run; one JSON report",
         description="Profile the full life of one service specification — "
         "derivation, Section 5 verification, N seeded executor runs — and "
         "emit one consolidated JSON report (schema repro.obs.profile/v1) "
@@ -409,7 +575,7 @@ def make_profile_parser() -> argparse.ArgumentParser:
         help="path to the service specification, or '-' for stdin",
     )
     parser.add_argument(
-        "--runs", type=int, default=3, metavar="N",
+        "--runs", type=_COUNT, default=3, metavar="N",
         help="seeded schedules to execute (default 3)",
     )
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
@@ -439,18 +605,10 @@ def make_profile_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="JSON indentation; 0 emits the compact one-line form",
     )
-    _add_common_flags(parser)
-    return parser
+    parser.set_defaults(handler=_profile)
 
 
-def profile_main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _profile_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
-
-
-def _profile_main(argv: Optional[Sequence[str]] = None) -> int:
+def _profile(args: argparse.Namespace) -> int:
     from repro.obs import (
         profile_spec,
         render_report,
@@ -458,22 +616,13 @@ def _profile_main(argv: Optional[Sequence[str]] = None) -> int:
         spec_display_name,
     )
 
-    args = make_profile_parser().parse_args(argv)
-    try:
-        text = (
-            sys.stdin.read()
-            if args.service == "-"
-            else open(args.service, encoding="utf-8").read()
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    text, source = _read_spec(args.service)
     try:
         report = profile_spec(
             text,
             # Spec-relative: an absolute (temp) path would make reports
             # and CI artifacts machine-dependent.
-            source=spec_display_name(args.service),
+            source=spec_display_name(source),
             runs=args.runs,
             seed=args.seed,
             max_steps=args.max_steps,
@@ -494,9 +643,11 @@ def _profile_main(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 # ``repro batch``
 # ----------------------------------------------------------------------
-def make_batch_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro batch",
+def _add_batch(commands, common: argparse.ArgumentParser) -> None:
+    parser = commands.add_parser(
+        "batch",
+        parents=[common],
+        help="parallel, cached derivation of a corpus",
         description="Derive protocol entities for a whole corpus of "
         "service specifications — in parallel, with a content-addressed "
         "on-disk cache so repeat runs never recompute.  Emits one "
@@ -516,14 +667,14 @@ def make_batch_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_COUNT,
         default=0,
         metavar="N",
         help="worker processes; 0 (default) derives serially in-process",
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_POSITIVE_FLOAT,
         default=None,
         metavar="SECONDS",
         help="per-task wall-clock budget (pool mode only); an overdue "
@@ -542,7 +693,7 @@ def make_batch_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--max-cache-entries",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="N",
         help="evict least-recently-written entries beyond N",
@@ -550,7 +701,7 @@ def make_batch_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--split-bytes",
         type=int,
-        default=None,
+        default=DEFAULT_SPLIT_BYTES,
         metavar="N",
         help="fan out one task per place for specs whose canonical text "
         "is at least N bytes (default %(default)s)",
@@ -569,41 +720,27 @@ def make_batch_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="JSON indentation; 0 emits the compact one-line form",
     )
-    _add_common_flags(parser)
-    return parser
+    parser.set_defaults(handler=_batch)
 
 
-def batch_main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _batch_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
-
-
-def _batch_main(argv: Optional[Sequence[str]] = None) -> int:
+def _batch(args: argparse.Namespace) -> int:
     from repro.batch import EntityCache, load_corpus, run_batch
-    from repro.batch.scheduler import DEFAULT_SPLIT_BYTES
 
-    args = make_batch_parser().parse_args(argv)
     try:
         corpus = load_corpus(args.corpus, manifest=args.manifest)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from exc
     cache = (
         None
         if args.no_cache
         else EntityCache(args.cache_dir, max_entries=args.max_cache_entries)
-    )
-    split = (
-        DEFAULT_SPLIT_BYTES if args.split_bytes is None else args.split_bytes
     )
     outcome = run_batch(
         corpus,
         workers=args.workers,
         timeout=args.timeout,
         cache=cache,
-        split_bytes=split,
+        split_bytes=args.split_bytes,
     )
     if args.out:
         out_dir = os.path.abspath(args.out)
@@ -652,373 +789,7 @@ def _print_batch_digest(summary: dict) -> None:
     print(line, file=sys.stderr)
 
 
-# ----------------------------------------------------------------------
-# ``repro serve``
-# ----------------------------------------------------------------------
-def make_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Run the derivation pipeline as a long-running asyncio "
-        "HTTP service: POST /v1/derive, /v1/lint, /v1/profile (JSON bodies, "
-        "schema repro.serve.request/v1), GET /healthz and /metrics.  "
-        "Bounded admission sheds overload with fast 503s, a warm worker "
-        "pool keeps derivations off the event loop, and repeated specs are "
-        "served from the shared entity cache.  SIGTERM/SIGINT drain "
-        "gracefully.  See docs/serving.md.",
-    )
-    parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default %(default)s)"
-    )
-    parser.add_argument(
-        "--port", type=int, default=8437,
-        help="TCP port; 0 picks a free one (default %(default)s)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker pool size (default %(default)s)",
-    )
-    parser.add_argument(
-        "--worker-kind", choices=["process", "thread"], default="process",
-        help="process pool (production) or thread pool (tests, benchmarks)",
-    )
-    parser.add_argument(
-        "--queue-limit", type=int, default=64, metavar="N",
-        help="admitted requests before shedding 503s (default %(default)s)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=30.0, metavar="SECONDS",
-        help="per-request worker budget; overdue answers 504 "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--max-body", type=int, default=1_000_000, metavar="BYTES",
-        help="largest accepted request body (default %(default)s)",
-    )
-    parser.add_argument(
-        "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="how long shutdown waits for in-flight requests "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=".repro-cache", metavar="DIR",
-        help="entity cache directory shared with `repro batch` "
-        "(default %(default)s)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="derive every request; neither read nor write the cache",
-    )
-    parser.add_argument(
-        "--max-cache-entries", type=int, default=None, metavar="N",
-        help="evict least-recently-written cache entries beyond N",
-    )
-    _add_common_flags(parser)
-    return parser
-
-
-def serve_main(argv: Optional[Sequence[str]] = None) -> int:
-    args = make_serve_parser().parse_args(argv)
-    from repro.serve.server import ServeConfig
-
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        worker_kind=args.worker_kind,
-        queue_limit=args.queue_limit,
-        request_timeout=args.timeout,
-        max_body_bytes=args.max_body,
-        drain_timeout=args.drain_timeout,
-        cache_dir=None if args.no_cache else args.cache_dir,
-        max_cache_entries=args.max_cache_entries,
-        access_log=not args.quiet,
-    )
-    try:
-        return asyncio.run(_serve_until_signalled(config, quiet=args.quiet))
-    except KeyboardInterrupt:
-        return 0
-
-
-async def _serve_until_signalled(config, quiet: bool) -> int:
-    import signal
-
-    from repro.serve.server import DerivationServer
-
-    server = DerivationServer(config)
-    await server.start()
-    host, port = server.address
-    if not quiet:
-        print(
-            f"serve: listening on http://{host}:{port} "
-            f"(workers={config.workers}/{config.worker_kind}, "
-            f"queue-limit={config.queue_limit}, "
-            f"cache={'off' if config.cache_dir is None else config.cache_dir})",
-            file=sys.stderr,
-        )
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):  # non-Unix event loops
-            pass
-    await stop.wait()
-    if not quiet:
-        print("serve: draining ...", file=sys.stderr)
-    await server.shutdown()
-    if not quiet:
-        print(server.digest(), file=sys.stderr)
-    return 0
-
-
-# ----------------------------------------------------------------------
-# ``repro loadgen``
-# ----------------------------------------------------------------------
-def make_loadgen_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro loadgen",
-        description="Closed-loop load generator against a running "
-        "`repro serve`: N connections each send one request at a time "
-        "from a shared budget, and the run emits one repro.obs.loadgen/v3 "
-        "report on stdout (exact latency percentiles, throughput, "
-        "ok/shed/failed counts).  Exit status is 1 when any request "
-        "failed (503 sheds are counted separately and do not fail the "
-        "run).  See docs/serving.md.",
-    )
-    parser.add_argument(
-        "service",
-        help="path to the service specification to request, or '-' for stdin",
-    )
-    parser.add_argument(
-        "--host", default="127.0.0.1", help="server address (default %(default)s)"
-    )
-    parser.add_argument(
-        "--port", type=int, default=8437, help="server port (default %(default)s)"
-    )
-    parser.add_argument(
-        "--op", choices=["derive", "lint", "profile"], default="derive",
-        help="operation to request (default %(default)s)",
-    )
-    parser.add_argument(
-        "--connections", type=int, default=16, metavar="N",
-        help="concurrent closed-loop connections (default %(default)s)",
-    )
-    parser.add_argument(
-        "--requests", type=int, default=100, metavar="N",
-        help="total requests across all connections (default %(default)s)",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=60.0, metavar="SECONDS",
-        help="per-request client timeout (default %(default)s)",
-    )
-    parser.add_argument(
-        "--mixed-choice", action="store_true",
-        help="request derivation with the arbiter-protocol R1 extension",
-    )
-    parser.add_argument(
-        "--indent", type=int, default=2, metavar="N",
-        help="JSON indentation; 0 emits the compact one-line form",
-    )
-    _add_common_flags(parser)
-    return parser
-
-
-def loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _loadgen_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
-
-
-def _loadgen_main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.serve.loadgen import render_digest, run_loadgen
-
-    args = make_loadgen_parser().parse_args(argv)
-    try:
-        text = (
-            sys.stdin.read()
-            if args.service == "-"
-            else open(args.service, encoding="utf-8").read()
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    options = {"mixed_choice": True} if args.mixed_choice else None
-    report = asyncio.run(
-        run_loadgen(
-            args.host,
-            args.port,
-            text,
-            op=args.op,
-            options=options,
-            connections=args.connections,
-            requests=args.requests,
-            timeout=args.timeout,
-        )
-    )
-    indent = args.indent if args.indent > 0 else None
-    print(json.dumps(report, indent=indent, sort_keys=True))
-    if not args.quiet:
-        print(render_digest(report), file=sys.stderr)
-    return 1 if report["failed"] else 0
-
-
-# ----------------------------------------------------------------------
-# ``repro lint``
-# ----------------------------------------------------------------------
-def make_lint_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Static analysis of LOTOS service specifications: "
-        "admissibility (R1-R3, grammar) plus lint rules for legal-but-"
-        "suspect constructs.  See docs/lint.md for the rule catalogue.",
-    )
-    parser.add_argument(
-        "specs",
-        nargs="*",
-        help="specification files, or '-' for stdin",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="output format (json follows the stable schema in docs/lint.md)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit non-zero on warnings, not only on errors",
-    )
-    parser.add_argument(
-        "--mixed-choice",
-        action="store_true",
-        help="lint for a --mixed-choice derivation (arbiter-resolvable "
-        "R1 violations and L009 are not reported)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the registered rules and exit",
-    )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress the report; the exit status is the verdict",
-    )
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"%(prog)s {_package_version()}",
-    )
-    return parser
-
-
-def lint_main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        return _lint_main(argv)
-    except BrokenPipeError:
-        return _broken_pipe_exit()
-
-
-def _lint_main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.analysis.lint import RULES, lint_text
-
-    args = make_lint_parser().parse_args(argv)
-    if args.list_rules:
-        for rule in sorted(RULES.values(), key=lambda r: r.id):
-            print(f"{rule.id}  {rule.name:<26} {rule.severity:<8} {rule.summary}")
-        return 0
-    if not args.specs:
-        make_lint_parser().error("no specification files given")
-
-    results = []
-    for path in args.specs:
-        try:
-            text = (
-                sys.stdin.read()
-                if path == "-"
-                else open(path, encoding="utf-8").read()
-            )
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        results.append(
-            lint_text(
-                text,
-                source="<stdin>" if path == "-" else path,
-                mixed_choice=args.mixed_choice,
-            )
-        )
-
-    if args.quiet:
-        pass  # exit status only, grep -q style
-    elif args.format == "json":
-        if len(results) == 1:
-            print(results[0].render_json())
-        else:
-            document = {
-                "version": results[0].to_dict()["version"],
-                "results": [result.to_dict() for result in results],
-            }
-            print(json.dumps(document, indent=2))
-    else:
-        for result in results:
-            print(result.render_text())
-
-    failed = any(
-        not result.ok or (args.strict and result.warnings) for result in results
-    )
-    return 1 if failed else 0
-
-
-# ----------------------------------------------------------------------
-# ``repro`` subcommand dispatcher
-# ----------------------------------------------------------------------
-_USAGE = """usage: repro <command> [options]
-
-commands:
-  lint      static analysis of a service specification (repro lint --help)
-  derive    derive protocol entities, lotos-pg style (repro derive --help)
-  profile   derive + verify + run; one JSON report (repro profile --help)
-  batch     parallel, cached derivation of a corpus (repro batch --help)
-  serve     long-running asyncio derivation server (repro serve --help)
-  loadgen   closed-loop load generator for serve (repro loadgen --help)
-
-options:
-  --version print the package version and exit
-"""
-
-
-def repro_main(argv: Optional[Sequence[str]] = None) -> int:
-    arguments: List[str] = list(sys.argv[1:] if argv is None else argv)
-    if not arguments or arguments[0] in ("-h", "--help"):
-        try:
-            print(_USAGE, end="")
-        except BrokenPipeError:
-            return _broken_pipe_exit()
-        return 0 if arguments else 2
-    if arguments[0] in ("--version", "-V"):
-        print(f"repro {_package_version()}")
-        return 0
-    command, rest = arguments[0], arguments[1:]
-    if command == "lint":
-        return lint_main(rest)
-    if command == "derive":
-        return main(rest)
-    if command == "profile":
-        return profile_main(rest)
-    if command == "batch":
-        return batch_main(rest)
-    if command == "serve":
-        return serve_main(rest)
-    if command == "loadgen":
-        return loadgen_main(rest)
-    print(f"error: unknown command {command!r}\n{_USAGE}", file=sys.stderr, end="")
-    return 2
-
-
 if __name__ == "__main__":
-    # The subcommand dispatcher, NOT the bare `derive` parser: running
-    # this file directly must behave exactly like the `repro` script
-    # (`python src/repro/cli.py lint ...` used to hit the wrong parser).
+    # The subcommand tree, NOT the bare `derive` parser: running this
+    # file directly must behave exactly like the `repro` script.
     raise SystemExit(repro_main())

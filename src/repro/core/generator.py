@@ -275,6 +275,12 @@ def derive_protocol(
 # they cross a ``ProcessPoolExecutor`` boundary without dragging along
 # any process-global state.
 # ----------------------------------------------------------------------
+
+#: Specifications whose canonical text reaches this size fan out one
+#: task per place instead of one task per spec.
+DEFAULT_SPLIT_BYTES = 4096
+
+
 def derive_task(text: str, options: Optional[Dict[str, bool]] = None) -> Dict:
     """Derive every protocol entity of one service specification.
 

@@ -51,17 +51,10 @@ from repro.obs.profile import (
 )
 from repro.obs.schema import (
     BENCH_SCHEMA,
-    LOADGEN_SCHEMA,
     PROFILE_SCHEMA,
-    SERVE_OPS,
-    SERVE_REQUEST_SCHEMA,
-    SERVE_RESPONSE_SCHEMA,
     validate_bench,
-    validate_loadgen,
     validate_metrics,
     validate_report,
-    validate_serve_request,
-    validate_serve_response,
     validate_trace,
 )
 from repro.obs.spans import (
@@ -125,15 +118,8 @@ __all__ = [
     "spec_display_name",
     "PROFILE_SCHEMA",
     "BENCH_SCHEMA",
-    "LOADGEN_SCHEMA",
-    "SERVE_OPS",
-    "SERVE_REQUEST_SCHEMA",
-    "SERVE_RESPONSE_SCHEMA",
     "validate_report",
     "validate_trace",
     "validate_metrics",
     "validate_bench",
-    "validate_loadgen",
-    "validate_serve_request",
-    "validate_serve_response",
 ]

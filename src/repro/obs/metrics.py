@@ -141,29 +141,6 @@ class Histogram:
         counts = self._series.get(_label_key(labels))
         return sum(counts) if counts else 0
 
-    def percentile(self, q: float, **labels: Any) -> Optional[float]:
-        """Upper-bound estimate of the ``q``-th percentile (0 < q <= 100).
-
-        Resolution is the bucket grid: the answer is the upper bound of
-        the bucket the rank lands in, ``inf`` when it lands in the
-        overflow slot, ``None`` when the series is empty.  Good enough
-        for digests ("p95 under 50ms"); exact quantiles need the raw
-        samples (see :mod:`repro.serve.loadgen`).
-        """
-        if not 0 < q <= 100:
-            raise ValueError("percentile q must be in (0, 100]")
-        counts = self._series.get(_label_key(labels))
-        total = sum(counts) if counts else 0
-        if not total:
-            return None
-        rank = max(1, -(-q * total // 100))  # ceil without math import
-        cumulative = 0
-        for bound, count in zip(self.buckets, counts):
-            cumulative += count
-            if cumulative >= rank:
-                return float(bound)
-        return float("inf")
-
     def series(self) -> List[Dict[str, Any]]:
         out = []
         for key, counts in sorted(self._series.items()):
@@ -206,9 +183,6 @@ class _NullInstrument:
 
     def count(self, **labels: Any) -> int:
         return 0
-
-    def percentile(self, q: float, **labels: Any) -> None:
-        return None
 
     def series(self) -> List[Dict[str, Any]]:
         return []

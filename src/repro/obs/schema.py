@@ -1,17 +1,13 @@
 """Dependency-free structural validation of the ``repro.obs`` documents.
 
-Seven JSON documents are validated here: the span tree
+Five JSON documents are validated here: the span tree
 (``repro.obs.trace/v1``), the metrics snapshot
 (``repro.obs.metrics/v1``), the consolidated profile report
-(``repro.obs.profile/v1``), the corpus batch summary
-(``repro.obs.batch/v1``, produced by :mod:`repro.batch`), the
-derivation-server wire envelopes (``repro.serve.request/v1`` /
-``repro.serve.response/v1``, spoken by :mod:`repro.serve`) and the
-load-generator report (``repro.obs.loadgen/v3`` — v3 dropped v2's
-retry outcome counts ``recovered`` / ``exhausted`` / ``retries``, so
-it has v1's shape again).  CI's smoke and gate jobs validate against
-these shapes before trusting a report, and tests pin them so the
-schemas only change deliberately.
+(``repro.obs.profile/v1``), the benchmark dump (``repro.obs.bench/v1``)
+and the corpus batch summary (``repro.obs.batch/v1``, produced by
+:mod:`repro.batch`).  CI's smoke and gate jobs validate against these
+shapes before trusting a report, and tests pin them so the schemas
+only change deliberately.
 
 The validator is a tiny structural checker (no jsonschema dependency):
 each check returns a list of human-readable problem strings, empty when
@@ -28,12 +24,6 @@ from repro.obs.spans import TRACE_SCHEMA
 PROFILE_SCHEMA = "repro.obs.profile/v1"
 BENCH_SCHEMA = "repro.obs.bench/v1"
 BATCH_SCHEMA = "repro.obs.batch/v1"
-SERVE_REQUEST_SCHEMA = "repro.serve.request/v1"
-SERVE_RESPONSE_SCHEMA = "repro.serve.response/v1"
-LOADGEN_SCHEMA = "repro.obs.loadgen/v3"
-
-#: Operations the derivation server can run (``POST /v1/<op>``).
-SERVE_OPS = ("derive", "lint", "profile")
 
 
 def _require(
@@ -284,114 +274,4 @@ def validate_batch(document: Any) -> List[str]:
                 problems,
             )
     problems.extend(validate_metrics(document.get("metrics", {}), "batch.metrics"))
-    return problems
-
-
-def validate_serve_request(document: Any) -> List[str]:
-    """Validate one ``POST /v1/<op>`` body (serve.request/v1).
-
-    The operation itself is carried by the URL, not the body; the body
-    is the spec text plus its options, so one shape serves all three
-    endpoints.
-    """
-    problems: List[str] = []
-    if not isinstance(document, dict):
-        return ["request: not an object"]
-    _require(document, "request", {"schema": str, "spec": str}, problems)
-    if document.get("schema") != SERVE_REQUEST_SCHEMA:
-        problems.append(f"request.schema: expected {SERVE_REQUEST_SCHEMA!r}")
-    options = document.get("options")
-    if options is not None and not isinstance(options, dict):
-        problems.append("request.options: not an object or null")
-    unknown = sorted(set(document) - {"schema", "spec", "options"})
-    if unknown:
-        problems.append(f"request: unknown field(s) {unknown}")
-    return problems
-
-
-def validate_serve_response(document: Any) -> List[str]:
-    """Validate one derivation-server response envelope (serve.response/v1)."""
-    problems: List[str] = []
-    if not isinstance(document, dict):
-        return ["response: not an object"]
-    _require(
-        document,
-        "response",
-        {
-            "schema": str,
-            "op": str,
-            "ok": bool,
-            "status": int,
-            "cache": str,
-            "duration_s": (int, float),
-            "request_id": str,
-        },
-        problems,
-    )
-    if document.get("schema") != SERVE_RESPONSE_SCHEMA:
-        problems.append(f"response.schema: expected {SERVE_RESPONSE_SCHEMA!r}")
-    if document.get("cache") not in ("hit", "miss", "off"):
-        problems.append(f"response.cache: unknown {document.get('cache')!r}")
-    if document.get("ok"):
-        if not isinstance(document.get("result"), dict):
-            problems.append("response.result: ok response needs a result object")
-    else:
-        error = document.get("error")
-        if not isinstance(error, dict) or "type" not in error:
-            problems.append("response.error: failed response needs an error")
-    return problems
-
-
-def validate_loadgen(document: Any) -> List[str]:
-    """Validate a ``repro loadgen`` report (loadgen/v3)."""
-    problems: List[str] = []
-    if not isinstance(document, dict):
-        return ["loadgen: not an object"]
-    _require(
-        document,
-        "loadgen",
-        {
-            "schema": str,
-            "op": str,
-            "target": str,
-            "connections": int,
-            "requests": int,
-            "completed": int,
-            "ok": int,
-            "shed": int,
-            "failed": int,
-            "statuses": dict,
-            "cache": dict,
-            "duration_s": (int, float),
-            "throughput_rps": (int, float),
-            "latency_ms": dict,
-        },
-        problems,
-    )
-    if document.get("schema") != LOADGEN_SCHEMA:
-        problems.append(f"loadgen.schema: expected {LOADGEN_SCHEMA!r}")
-    if document.get("op") not in SERVE_OPS:
-        problems.append(f"loadgen.op: unknown {document.get('op')!r}")
-    latency = document.get("latency_ms", {})
-    if isinstance(latency, dict):
-        _require(
-            latency,
-            "loadgen.latency_ms",
-            {
-                "mean": (int, float),
-                "p50": (int, float),
-                "p95": (int, float),
-                "p99": (int, float),
-                "max": (int, float),
-            },
-            problems,
-        )
-    cache = document.get("cache", {})
-    if isinstance(cache, dict):
-        _require(
-            cache,
-            "loadgen.cache",
-            {"hit": int, "miss": int, "off": int},
-            problems,
-        )
     return problems

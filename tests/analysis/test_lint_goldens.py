@@ -33,7 +33,6 @@ EXAMPLE_SPECS = {
     "error_recovery": {"SERVICE": {}},
     "file_transfer": {"SERVICE": {}},
     "quickstart": {"SERVICE": {}},
-    "serve_demo": {"SERVICE": {}},
     "transport_service": {"SERVICE": {}},
     "two_phase_commit": {"PLAIN": {}, "WITH_VETO": {"mixed_choice": True}},
 }

@@ -18,7 +18,12 @@ from repro.batch import (
     load_corpus,
     run_batch,
 )
-from repro.core.generator import ProtocolGenerator
+from repro.batch.scheduler import (
+    error_document,
+    stats_document,
+    timeout_document,
+)
+from repro.core.generator import ProtocolGenerator, derive_task
 from repro.obs.schema import validate_batch, validate_report
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "goldens"
@@ -232,3 +237,27 @@ class TestSummaryShape:
         outcome = run_batch(goldens[:2], workers=0)
         assert {row["cache"] for row in outcome.summary["specs"]} == {"off"}
         assert outcome.summary["cache"] is None
+
+
+class TestDocuments:
+    def test_error_document_shape(self):
+        try:
+            raise ValueError("boom")
+        except ValueError as exc:
+            document = error_document(exc)
+        assert document["type"] == "ValueError"
+        assert document["message"] == "boom"
+        assert "ValueError: boom" in document["traceback"]
+
+    def test_timeout_document_shape(self):
+        document = timeout_document(2.5)
+        assert document["type"] == "TimeoutError"
+        assert "2.5" in document["message"]
+
+    def test_stats_document_matches_the_profile_schema(self):
+        payload = derive_task("SPEC a1; exit >> b2; exit ENDSPEC")
+        document = stats_document("example", payload)
+        assert validate_report(document) == []
+        assert document["derivation"]["sync_fragments"] == (
+            payload["sync_fragments"]
+        )

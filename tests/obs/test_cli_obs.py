@@ -118,7 +118,7 @@ class TestVersionAndUsage:
         with pytest.raises(SystemExit) as excinfo:
             repro_main(["derive", "--version"])
         assert excinfo.value.code == 0
-        assert "lotos-pg" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("repro derive ")
 
     def test_usage_lists_profile(self, capsys):
         assert repro_main(["--help"]) == 0

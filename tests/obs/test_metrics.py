@@ -71,43 +71,6 @@ class TestHistogram:
         assert histogram.count(channel="a") == 2
         assert histogram.count(channel="b") == 0
 
-    def test_percentile_returns_bucket_upper_bounds(self):
-        histogram = Histogram("h", buckets=(1, 5, 10))
-        for value in (0.5, 0.7, 2, 3, 4, 6, 7, 8, 9, 10):
-            histogram.observe(value)
-        # ranks: 10 samples; <=1 holds 2, <=5 holds 3, <=10 holds 5
-        assert histogram.percentile(10) == 1.0
-        assert histogram.percentile(20) == 1.0
-        assert histogram.percentile(50) == 5.0
-        assert histogram.percentile(99) == 10.0
-
-    def test_percentile_overflow_reads_as_inf(self):
-        histogram = Histogram("h", buckets=(1,))
-        histogram.observe(100)
-        assert histogram.percentile(50) == float("inf")
-
-    def test_percentile_empty_series_is_none(self):
-        histogram = Histogram("h", buckets=(1,))
-        assert histogram.percentile(50) is None
-        assert histogram.percentile(50, route="missing") is None
-
-    def test_percentile_respects_labels(self):
-        histogram = Histogram("h", buckets=(1, 10))
-        histogram.observe(0.5, route="fast")
-        histogram.observe(8, route="slow")
-        assert histogram.percentile(50, route="fast") == 1.0
-        assert histogram.percentile(50, route="slow") == 10.0
-
-    def test_percentile_rejects_out_of_range_q(self):
-        histogram = Histogram("h", buckets=(1,))
-        with pytest.raises(ValueError, match="percentile"):
-            histogram.percentile(0)
-        with pytest.raises(ValueError, match="percentile"):
-            histogram.percentile(101)
-
-    def test_null_instrument_percentile_is_none(self):
-        assert NULL_INSTRUMENT.percentile(95) is None
-
 
 class TestSnapshot:
     def test_document_shape_and_schema(self):
