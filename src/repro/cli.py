@@ -41,6 +41,7 @@ import os
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro import __version__
 from repro.core.complexity import analyze
 from repro.core.generator import DEFAULT_SPLIT_BYTES, derive_protocol
 from repro.errors import ReproError
@@ -92,21 +93,8 @@ _POSITIVE_INT = _number(int, 0, strict=True)
 _POSITIVE_FLOAT = _number(float, 0, strict=True)
 
 
-def _package_version() -> str:
-    """The installed distribution version, or the source tree's."""
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:
-        import repro
-
-        return getattr(repro, "__version__", "unknown")
-
-
 def make_parser() -> argparse.ArgumentParser:
     """The ``repro`` parser; each subcommand names its ``handler``."""
-    version = _package_version()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--quiet",
@@ -116,7 +104,7 @@ def make_parser() -> argparse.ArgumentParser:
         "status is the verdict",
     )
     common.add_argument(
-        "--version", action="version", version=f"%(prog)s {version}"
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
 
     parser = _ReproParser(
@@ -125,7 +113,7 @@ def make_parser() -> argparse.ArgumentParser:
         "service specifications (Kant/Higashino/Bochmann algorithm).",
     )
     parser.add_argument(
-        "-V", "--version", action="version", version=f"%(prog)s {version}"
+        "-V", "--version", action="version", version=f"%(prog)s {__version__}"
     )
     commands = parser.add_subparsers(
         title="commands", dest="command", parser_class=argparse.ArgumentParser

@@ -191,12 +191,14 @@ def verify_derivation(
             service_states=service_lts.num_states,
             system_states=system_lts.num_states,
         ):
-            equivalent = weak_bisimilar(service_lts, system_lts)
+            weak = weak_bisimilar(service_lts, system_lts)
+            equivalent = bool(weak)
             congruent = (
-                observationally_congruent(service_lts, system_lts)
+                observationally_congruent(service_lts, system_lts, weak)
                 if equivalent
                 else False
             )
+            del weak  # the saturated relation is not kept past the check
         registry.gauge(
             "verify.service_states", help="service LTS size at the check"
         ).set(service_lts.num_states)

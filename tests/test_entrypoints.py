@@ -7,9 +7,12 @@ named ``lint``).
 """
 
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
+import repro
 import repro.cli
 
 SPEC = "SPEC a1; exit >> b2; exit ENDSPEC\n"
@@ -58,3 +61,12 @@ def test_no_arguments_prints_usage_and_fails(tmp_path):
     proc = run_entry(["-m", "repro"], cwd=tmp_path)
     assert proc.returncode != 0
     assert "usage" in (proc.stdout + proc.stderr).lower()
+
+
+def test_version_is_the_distribution_version(capsys):
+    """``--version`` reports ``repro.__version__``, which must track pyproject."""
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
+    assert repro.__version__ == declared.group(1)
+    assert repro.cli.repro_main(["--version"]) == 0
+    assert capsys.readouterr().out.split() == ["repro", repro.__version__]
