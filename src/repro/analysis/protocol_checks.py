@@ -194,8 +194,9 @@ def analyze_system(
     for state_index in lts.deadlock_states():
         if state_index in lts.truncated_states:
             continue
-        term: SystemState = lts.state_terms[state_index]
-        if system.is_terminated(term):
+        coded = lts.state_terms[state_index]
+        term: SystemState = system.decode(coded)
+        if system.is_terminated(coded):
             for pending in term.medium.iter_messages():
                 report.stale_at_termination.append(pending)
             continue

@@ -28,11 +28,14 @@ DEFAULT_MAX_STATES = 20_000
 class LTS:
     """A finite (possibly truncated) labelled transition system.
 
-    States are integers; ``state_terms[i]`` is the behaviour expression
-    the state stands for.  ``edges[i]`` lists ``(label, target)`` pairs in
-    a deterministic order.  ``truncated_states`` holds the indices whose
-    outgoing transitions were *not* expanded because the state budget ran
-    out; analyses must treat such states as having unknown behaviour.
+    States are integers; ``state_terms[i]`` is the term the state stands
+    for: a behaviour expression, or, for the LTS of a
+    :class:`repro.runtime.system.DistributedSystem`, a coded int-tuple
+    state that ``system.decode`` turns into behaviours and a medium.
+    ``edges[i]`` lists ``(label, target)`` pairs in a deterministic order.
+    ``truncated_states`` holds the indices whose outgoing transitions
+    were *not* expanded because the state budget ran out; analyses must
+    treat such states as having unknown behaviour.
     """
 
     state_terms: List[Behaviour] = field(default_factory=list)

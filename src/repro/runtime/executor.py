@@ -24,7 +24,7 @@ from repro.lotos.events import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.spans import get_tracer
-from repro.runtime.system import DistributedSystem, SystemState
+from repro.runtime.system import DistributedSystem, State, SystemState
 
 ChannelKey = Tuple[int, int]
 
@@ -73,7 +73,9 @@ class Run:
         return f"[{status} after {self.steps} steps] {shown}"
 
 
-Chooser = Callable[[SystemState, Tuple], int]
+#: ``chooser(state, transitions) -> index``; ``state`` is the system's
+#: coded state (:meth:`DistributedSystem.decode` gives its terms).
+Chooser = Callable[[State, Tuple], int]
 
 
 def random_run(
@@ -94,11 +96,12 @@ def random_run(
     # built for verification (hide=True): inspect labels before hiding by
     # classifying the *unhidden* variant.  DistributedSystem with
     # hide=False exposes them; with hide=True we count via medium deltas.
-    previous_in_flight = state.medium.in_flight
+    medium = system.decode(state).medium
+    previous_in_flight = medium.in_flight
     # Per-channel accounting (queue high-water marks, in-flight delays)
     # works off the medium's channel_depths hook; custom media without it
     # keep the global tallies only.
-    depths_of = getattr(state.medium, "channel_depths", None)
+    depths_of = getattr(medium, "channel_depths", None)
     previous_depths: Dict[ChannelKey, int] = depths_of() if depths_of else {}
     pending_sends: Dict[ChannelKey, List[int]] = {}
     with get_tracer().span("executor.run", seed=seed) as span:
@@ -114,13 +117,14 @@ def random_run(
             run.schedule.append(index)
             label, state = transitions[index]
             run.steps += 1
-            in_flight = state.medium.in_flight
+            medium = system.decode(state).medium
+            in_flight = medium.in_flight
             if in_flight > previous_in_flight:
                 run.messages_sent += in_flight - previous_in_flight
             elif in_flight < previous_in_flight:
                 run.messages_received += previous_in_flight - in_flight
             if depths_of is not None and in_flight != previous_in_flight:
-                depths = state.medium.channel_depths()
+                depths = medium.channel_depths()
                 _account_channels(
                     run, previous_depths, depths, pending_sends, run.steps
                 )
@@ -136,7 +140,7 @@ def random_run(
         else:
             run.truncated = True
         span.set(steps=run.steps, messages=run.messages_sent)
-    run.final_state = state
+    run.final_state = system.decode(state)
     _publish_run_metrics(run)
     return run
 

@@ -1,10 +1,15 @@
 """Composition of protocol entities with the communication medium.
 
-:class:`DistributedSystem` is a transition-function object over
-:class:`SystemState` (entity behaviours + medium snapshot) with the same
-``transitions(state)`` interface as :class:`repro.lotos.semantics.
+:class:`DistributedSystem` is a transition-function object with the
+same ``transitions(state)`` interface as :class:`repro.lotos.semantics.
 Semantics`, so every analysis in :mod:`repro.lotos.traces` and the LTS
-builder work on whole distributed systems unchanged.
+builder work on whole distributed systems unchanged.  Its states are
+flat int tuples ``(e_1, ..., e_n, m)``: ``e_i`` numbers entity i's
+behaviour in a per-entity term table and ``m`` numbers the medium in a
+medium table (explicit-state tools give states compact integer codes
+for the same reason: hashing and comparing them is cheap).
+:meth:`DistributedSystem.decode` turns a coded state back into a
+:class:`SystemState` of behaviours and medium.
 
 The composition implements, operationally, the right-hand side of the
 paper's correctness theorem::
@@ -50,26 +55,136 @@ from repro.lotos.semantics import Semantics
 from repro.lotos.syntax import Behaviour, Specification, Stop
 from repro.medium.state import MediumState, make_medium
 
-Transition = Tuple[Label, "SystemState"]
+#: A coded global state ``(e_1, ..., e_n, m)``: ``e_i`` numbers entity
+#: i's behaviour in its term table, ``m`` the medium in the medium table.
+State = Tuple[int, ...]
+Transition = Tuple[Label, State]
+
+#: An entity move: the label the system emits for it, the medium letter
+#: it needs (``-1`` for a primitive or internal move, which leaves the
+#: medium alone) and the entity's target term id.
+Move = Tuple[Label, int, int]
+
+_SEND, _RECEIVE = "send", "receive"
 
 
 @dataclass(frozen=True)
 class SystemState:
-    """One global state: each entity's behaviour plus the medium."""
+    """One global state in object form: entity behaviours plus the medium.
+
+    :meth:`DistributedSystem.decode` turns a coded state into this form.
+    """
 
     entities: Tuple[Behaviour, ...]
     medium: MediumState
 
-    def replace_entity(self, index: int, behaviour: Behaviour) -> "SystemState":
-        entities = self.entities[:index] + (behaviour,) + self.entities[index + 1 :]
-        return SystemState(entities, self.medium)
 
-    def with_medium(self, medium: MediumState) -> "SystemState":
-        return SystemState(self.entities, medium)
+class _TermTable:
+    """One entity's behaviours, numbered densely in the order met.
+
+    ``moves[t]`` is filled by :meth:`DistributedSystem._expand` the first
+    time a state holding term ``t`` is expanded, so ``Semantics.
+    transitions`` runs once per distinct term; ``delta[t]`` records
+    whether the term offers termination.
+    """
+
+    __slots__ = ("ids", "terms", "moves", "delta", "stopped")
+
+    def __init__(self) -> None:
+        self.ids: Dict[Behaviour, int] = {}
+        self.terms: List[Behaviour] = []
+        self.moves: List[Optional[Tuple[Move, ...]]] = []
+        self.delta: List[bool] = []
+        self.stopped: List[bool] = []
+
+    def intern(self, term: Behaviour) -> int:
+        code = self.ids.get(term)
+        if code is None:
+            code = len(self.terms)
+            self.ids[term] = code
+            self.terms.append(term)
+            self.moves.append(None)
+            self.delta.append(False)
+            self.stopped.append(isinstance(term, Stop))
+        return code
+
+
+class _MediumTable:
+    """Media interned by equality, with their moves memoized.
+
+    A *letter* is one ``(kind, channel, message)`` interaction with the
+    medium; ``steps[m][letter]`` is the medium reached by it from medium
+    ``m``, or ``-1`` when the medium refuses it (full channel, message
+    not receivable).  Any object with the medium interface works.
+    """
+
+    __slots__ = ("ids", "media", "empty", "steps", "internal", "letter_ids", "letters")
+
+    def __init__(self) -> None:
+        self.ids: Dict[object, int] = {}
+        self.media: List[object] = []
+        self.empty: List[bool] = []
+        self.steps: List[Dict[int, int]] = []
+        self.internal: List[Optional[Tuple[int, ...]]] = []
+        self.letter_ids: Dict[tuple, int] = {}
+        self.letters: List[tuple] = []
+
+    def intern(self, medium: object) -> int:
+        code = self.ids.get(medium)
+        if code is None:
+            code = len(self.media)
+            self.ids[medium] = code
+            self.media.append(medium)
+            self.empty.append(medium.is_empty)
+            self.steps.append({})
+            self.internal.append(None)
+        return code
+
+    def letter(self, kind: str, src: int, dest: int, message) -> int:
+        key = (kind, src, dest, message)
+        code = self.letter_ids.get(key)
+        if code is None:
+            code = len(self.letters)
+            self.letter_ids[key] = code
+            self.letters.append(key)
+        return code
+
+    def step(self, code: int, letter: int) -> int:
+        kind, src, dest, message = self.letters[letter]
+        medium = self.media[code]
+        after = None
+        if kind == _SEND:
+            if medium.can_send(src, dest):
+                after = medium.send(src, dest, message)
+        elif medium.receivable(src, dest, message):
+            after = medium.receive(src, dest, message)
+        target = -1 if after is None else self.intern(after)
+        self.steps[code][letter] = target
+        return target
+
+    def internal_moves(self, code: int) -> Tuple[int, ...]:
+        moves = self.internal[code]
+        if moves is None:
+            # Media with internal machinery (ARQ recovery, loss faults)
+            # contribute their own moves as internal steps.
+            internal = getattr(self.media[code], "internal_transitions", None)
+            afters = internal() if internal is not None else ()
+            moves = tuple(self.intern(after) for _description, after in afters)
+            self.internal[code] = moves
+        return moves
 
 
 class DistributedSystem:
-    """Transition function for n entities + medium.
+    """Transition function for n entities + medium over coded states.
+
+    A state is a flat tuple of ints ``(e_1, ..., e_n, m)`` (see
+    :data:`State`); :meth:`decode` maps it back to a
+    :class:`SystemState`.  Each entity's moves are computed once per
+    distinct term and each medium interaction once per distinct medium,
+    so expanding a state is a walk over precomputed tables.  The
+    transitions of a state are listed entity by entity, each entity's in
+    ``Semantics.transitions`` order, then global ``delta``, then the
+    medium's internal moves.
 
     ``hide=True`` maps message interactions to the internal action
     (verification view); ``hide=False`` keeps them observable in long
@@ -89,86 +204,96 @@ class DistributedSystem:
             raise ExecutionError("places, semantics and entities must align")
         self.places = tuple(places)
         self._semantics = tuple(semantics)
-        self.initial = initial
         self.hide = hide
         self.require_empty_at_exit = require_empty_at_exit
-        self._index_of: Dict[int, int] = {
-            place: index for index, place in enumerate(self.places)
-        }
-        self._cache: Dict[SystemState, Tuple[Transition, ...]] = {}
+        self._tables = tuple(_TermTable() for _ in self.places)
+        self._media = _MediumTable()
+        # Global termination lands on literal stops: the delta residual
+        # of e.g. ``exit ||| exit`` is ``stop ||| stop``, behaviourally
+        # stop but structurally distinct — one canonical terminated state
+        # is what ``is_terminated`` recognizes.
+        self._stops = tuple(table.intern(Stop()) for table in self._tables)
+        self.initial: State = tuple(
+            table.intern(entity)
+            for table, entity in zip(self._tables, initial.entities)
+        ) + (self._media.intern(initial.medium),)
 
     # ------------------------------------------------------------------
-    def transitions(self, state: SystemState) -> Tuple[Transition, ...]:
-        cached = self._cache.get(state)
-        if cached is None:
-            cached = tuple(self._transitions(state))
-            self._cache[state] = cached
-        return cached
-
-    def _transitions(self, state: SystemState) -> List[Transition]:
+    def transitions(self, state: State) -> Tuple[Transition, ...]:
         result: List[Transition] = []
-        delta_residuals: List[Optional[Behaviour]] = []
-        for index, behaviour in enumerate(state.entities):
-            place = self.places[index]
-            delta_residual: Optional[Behaviour] = None
-            for label, residual in self._semantics[index].transitions(behaviour):
-                if isinstance(label, Delta):
-                    delta_residual = residual
+        media = self._media
+        medium = state[-1]
+        steps = media.steps[medium]
+        all_delta = True
+        for index, table in enumerate(self._tables):
+            term = state[index]
+            moves = table.moves[term]
+            if moves is None:
+                moves = self._expand(index, term)
+            if all_delta and not table.delta[term]:
+                all_delta = False
+            if not moves:
+                continue
+            head = state[:index]
+            tail = state[index + 1 :]
+            for label, letter, target in moves:
+                if letter < 0:
+                    result.append((label, head + (target,) + tail))
                     continue
-                transition = self._entity_move(state, index, place, label, residual)
-                if transition is not None:
-                    result.append(transition)
-            delta_residuals.append(delta_residual)
-        if all(residual is not None for residual in delta_residuals):
-            if not self.require_empty_at_exit or state.medium.is_empty:
-                # Normalize to literal stops: the delta residual of e.g.
-                # ``exit ||| exit`` is ``stop ||| stop``, behaviourally
-                # stop but structurally distinct — collapsing makes
-                # global termination a single canonical state that
-                # ``is_terminated`` recognizes.
-                terminated = SystemState(
-                    tuple(Stop() for _ in delta_residuals), state.medium
+                after = steps.get(letter)
+                if after is None:
+                    after = media.step(medium, letter)
+                if after >= 0:
+                    result.append((label, head + (target,) + tail[:-1] + (after,)))
+        if all_delta and (not self.require_empty_at_exit or media.empty[medium]):
+            result.append((DELTA, self._stops + (medium,)))
+        for after in media.internal_moves(medium):
+            result.append((INTERNAL, state[:-1] + (after,)))
+        return tuple(result)
+
+    def _expand(self, index: int, term: int) -> Tuple[Move, ...]:
+        """Classify the moves of entity ``index``'s term ``term`` once."""
+        table = self._tables[index]
+        place = self.places[index]
+        moves: List[Move] = []
+        for label, residual in self._semantics[index].transitions(table.terms[term]):
+            if isinstance(label, Delta):
+                table.delta[term] = True
+                continue
+            if isinstance(label, ServicePrimitive):
+                move = (label, -1, table.intern(residual))
+            elif isinstance(label, InternalAction):
+                move = (INTERNAL, -1, table.intern(residual))
+            elif isinstance(label, SendAction):
+                letter = self._media.letter(_SEND, place, label.dest, label.message)
+                visible: Label = INTERNAL if self.hide else label.with_src(place)
+                move = (visible, letter, table.intern(residual))
+            elif isinstance(label, ReceiveAction):
+                letter = self._media.letter(_RECEIVE, label.src, place, label.message)
+                visible = INTERNAL if self.hide else label.with_dest(place)
+                move = (visible, letter, table.intern(residual))
+            else:
+                raise ExecutionError(
+                    f"entity at place {place} offered unexpected {label}"
                 )
-                result.append((DELTA, terminated))
-        # Media with internal machinery (ARQ recovery, loss faults)
-        # contribute their own moves as internal steps.
-        internal = getattr(state.medium, "internal_transitions", None)
-        if internal is not None:
-            for _description, new_medium in internal():
-                result.append((INTERNAL, state.with_medium(new_medium)))
+            moves.append(move)
+        table.moves[term] = result = tuple(moves)
         return result
 
-    def _entity_move(
-        self,
-        state: SystemState,
-        index: int,
-        place: int,
-        label: Label,
-        residual: Behaviour,
-    ) -> Optional[Transition]:
-        if isinstance(label, ServicePrimitive):
-            return label, state.replace_entity(index, residual)
-        if isinstance(label, InternalAction):
-            return INTERNAL, state.replace_entity(index, residual)
-        if isinstance(label, SendAction):
-            if not state.medium.can_send(place, label.dest):
-                return None
-            medium = state.medium.send(place, label.dest, label.message)
-            visible: Label = INTERNAL if self.hide else label.with_src(place)
-            return visible, state.replace_entity(index, residual).with_medium(medium)
-        if isinstance(label, ReceiveAction):
-            if not state.medium.receivable(label.src, place, label.message):
-                return None
-            medium = state.medium.receive(label.src, place, label.message)
-            visible = INTERNAL if self.hide else label.with_dest(place)
-            return visible, state.replace_entity(index, residual).with_medium(medium)
-        raise ExecutionError(f"entity at place {place} offered unexpected {label}")
-
     # ------------------------------------------------------------------
-    def is_terminated(self, state: SystemState) -> bool:
-        return all(isinstance(entity, Stop) for entity in state.entities)
+    def decode(self, state: State) -> SystemState:
+        """The behaviours and medium that coded ``state`` stands for."""
+        return SystemState(
+            tuple(table.terms[term] for table, term in zip(self._tables, state)),
+            self._media.media[state[-1]],
+        )
 
-    def enabled(self, state: SystemState) -> Tuple[Transition, ...]:
+    def is_terminated(self, state: State) -> bool:
+        return all(
+            table.stopped[term] for table, term in zip(self._tables, state)
+        )
+
+    def enabled(self, state: State) -> Tuple[Transition, ...]:
         return self.transitions(state)
 
 

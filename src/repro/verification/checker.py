@@ -298,8 +298,3 @@ def _try_build(root, semantics, max_states: int) -> Optional[LTS]:
         return build_lts(root, semantics, max_states=max_states, on_limit="raise")
     except StateSpaceLimitExceeded:
         return None
-    except RecursionError:
-        # Deeply left-growing terms (e.g. the enable stack of a^n b^n)
-        # can exceed the interpreter's comparison depth before the state
-        # budget is hit; treat exactly like a budget overflow.
-        return None

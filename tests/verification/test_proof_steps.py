@@ -169,7 +169,7 @@ class TestEnableInductionStep:
                     paths[target] = seen
                     frontier.append(target)
                     if "s2-started" in seen:
-                        term = lts.state_terms[target]
+                        term = system.decode(lts.state_terms[target])
                         for _src, _dest, message in term.medium.iter_messages():
                             assert message.node >= boundary - 2, (
                                 "an S1-region message survived into S2"

@@ -74,6 +74,17 @@ class TestExactTheorem:
         assert report.equivalent, str(report)
         assert report.congruent is False
 
+    def test_deep_prefix_chain_is_exact(self):
+        """A long non-recursive service gets the exact method.
+
+        300 actions alternate between two places, so every state nests
+        hundreds of prefixes; the exact build must not give up on depth.
+        """
+        chain = "; ".join("a1" if step % 2 == 0 else "b2" for step in range(300))
+        report = verify_derivation(f"SPEC {chain}; exit ENDSPEC")
+        assert report.method == "weak-bisimulation"
+        assert report.equivalent and report.congruent, str(report)
+
 
 class TestRecursiveBounded:
     def test_example2(self, example2):
