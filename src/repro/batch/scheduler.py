@@ -1,10 +1,7 @@
 """The worker-pool scheduler behind ``repro batch``.
 
 One corpus run fans out one task per (spec, options) pair across a
-``ProcessPoolExecutor`` — or, for specifications whose canonical text
-is at least ``split_bytes`` long, one task per place, since each
-``T_p`` projection is independent (the paper applies ``T_p`` to the
-root once per place).  Results that the cache has already seen are
+``ProcessPoolExecutor``.  Results that the cache has already seen are
 served from disk without touching the pool at all.
 
 Failure containment is the design center:
@@ -32,17 +29,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.batch.cache import EntityCache, canonicalize_spec_text
+from repro.batch.cache import EntityCache
 from repro.batch.manifest import SpecCase
-from repro.core.generator import (
-    DEFAULT_SPLIT_BYTES,
-    derive_place_task,
-    derive_task,
-    list_places_task,
-)
+from repro.core.generator import derive_task
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.schema import BATCH_SCHEMA, PROFILE_SCHEMA
-from repro.obs.spans import TRACE_SCHEMA
 
 
 @dataclass
@@ -69,11 +60,6 @@ class _Pending:
     case: SpecCase
     key: Optional[str]
     started: float
-    tasks: int = 0
-    places: Optional[List[int]] = None
-    parts: Dict[int, str] = field(default_factory=dict)
-    sync_fragments: int = 0
-    violations: int = 0
 
 
 def run_batch(
@@ -81,7 +67,6 @@ def run_batch(
     workers: int = 0,
     timeout: Optional[float] = None,
     cache: Optional[EntityCache] = None,
-    split_bytes: int = DEFAULT_SPLIT_BYTES,
     executor_factory: Optional[Callable[[int], Any]] = None,
 ) -> BatchOutcome:
     """Derive every specification of ``corpus``; never abort on one.
@@ -125,7 +110,6 @@ def run_batch(
                         misses,
                         workers,
                         timeout,
-                        split_bytes,
                         cache,
                         rows,
                         entities,
@@ -177,8 +161,7 @@ def _run_serial(
                 )
             )
             continue
-        _finish(case, key, payload, cache, rows, entities,
-                tasks=1, started=started)
+        _finish(case, key, payload, cache, rows, entities, started=started)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +171,6 @@ def _run_pool(
     misses: Sequence[Tuple[SpecCase, Optional[str]]],
     workers: int,
     timeout: Optional[float],
-    split_bytes: int,
     cache: Optional[EntityCache],
     rows: List[Dict[str, Any]],
     entities: Dict[str, Dict[int, str]],
@@ -198,66 +180,30 @@ def _run_pool(
     degraded = False
     pool = (executor_factory or ProcessPoolExecutor)(workers)
     try:
-        pending: Dict[Future, Tuple[_Pending, str, Optional[int]]] = {}
-        states: Dict[str, _Pending] = {}
+        pending: Dict[Future, _Pending] = {}
         for case, key in misses:
             state = _Pending(case=case, key=key, started=time.perf_counter())
-            states[case.name] = state
-            split = len(canonicalize_spec_text(case.text)) >= split_bytes
-            options = dict(case.options)
-            if split:
-                future = pool.submit(list_places_task, case.text, options)
-                pending[future] = (state, "plan", None)
-            else:
-                future = pool.submit(derive_task, case.text, options)
-                pending[future] = (state, "whole", None)
-            state.tasks += 1
+            future = pool.submit(derive_task, case.text, dict(case.options))
+            pending[future] = state
 
         while pending:
             wait_for = _next_deadline(pending, timeout)
             done, _ = wait(pending, timeout=wait_for,
                            return_when=FIRST_COMPLETED)
-            if not done:
-                _expire(pending, states, timeout, cache, rows)
-                continue
             for future in done:
-                state, kind, place = pending.pop(future)
-                if state.case.name not in states:
-                    continue  # already failed (e.g. a sibling timed out)
+                state = pending.pop(future)
                 try:
                     payload = future.result()
                 except BrokenProcessPool:
                     raise
                 except Exception as exc:
-                    _fail(state, states, cache, rows, error_document(exc))
+                    _fail(state, cache, rows, error_document(exc))
                     continue
-                if kind == "plan":
-                    state.places = payload["places"]
-                    state.violations = payload["violations"]
-                    for entity_place in payload["places"]:
-                        child = pool.submit(
-                            derive_place_task, state.case.text,
-                            entity_place, dict(state.case.options),
-                        )
-                        pending[child] = (state, "place", entity_place)
-                        state.tasks += 1
-                elif kind == "place":
-                    state.parts[payload["place"]] = payload["text"]
-                    state.sync_fragments += payload["sync_fragments"]
-                    if set(state.parts) == set(state.places or []):
-                        _finish(
-                            state.case, state.key, _assemble(state),
-                            cache, rows, entities,
-                            tasks=state.tasks, started=state.started,
-                        )
-                        del states[state.case.name]
-                else:  # whole-spec task
-                    _finish(
-                        state.case, state.key, payload, cache, rows,
-                        entities, tasks=state.tasks, started=state.started,
-                    )
-                    del states[state.case.name]
-            _expire(pending, states, timeout, cache, rows)
+                _finish(
+                    state.case, state.key, payload, cache, rows, entities,
+                    started=state.started,
+                )
+            _expire(pending, timeout, cache, rows)
     finally:
         try:
             pool.shutdown(wait=False, cancel_futures=True)
@@ -267,67 +213,45 @@ def _run_pool(
 
 
 def _next_deadline(
-    pending: Dict[Future, Tuple[_Pending, str, Optional[int]]],
+    pending: Dict[Future, _Pending],
     timeout: Optional[float],
 ) -> Optional[float]:
     if timeout is None:
         return None
     now = time.perf_counter()
-    soonest = min(state.started + timeout for state, _, _ in pending.values())
+    soonest = min(state.started + timeout for state in pending.values())
     return max(soonest - now, 0.0)
 
 
 def _expire(
-    pending: Dict[Future, Tuple[_Pending, str, Optional[int]]],
-    states: Dict[str, _Pending],
+    pending: Dict[Future, _Pending],
     timeout: Optional[float],
     cache: Optional[EntityCache],
     rows: List[Dict[str, Any]],
 ) -> None:
-    """Fail every spec whose wall-clock budget ran out; drop its tasks."""
+    """Fail every spec whose wall-clock budget ran out; drop its task."""
     if timeout is None:
         return
     now = time.perf_counter()
-    for future, (state, _, _) in list(pending.items()):
-        if state.case.name not in states:
+    for future, state in list(pending.items()):
+        if now - state.started > timeout:
             future.cancel()
             del pending[future]
-        elif now - state.started > timeout:
-            future.cancel()
-            del pending[future]
-            _fail(state, states, cache, rows, timeout_document(timeout))
+            _fail(state, cache, rows, timeout_document(timeout))
 
 
 def _fail(
     state: _Pending,
-    states: Dict[str, _Pending],
     cache: Optional[EntityCache],
     rows: List[Dict[str, Any]],
     error: Dict[str, str],
 ) -> None:
-    if state.case.name not in states:
-        return
-    del states[state.case.name]
     rows.append(
         _row(
             state.case.name, "failed", "miss" if cache is not None else "off",
-            [], state.tasks, time.perf_counter() - state.started, error,
+            [], 1, time.perf_counter() - state.started, error,
         )
     )
-
-
-def _assemble(state: _Pending) -> Dict[str, Any]:
-    """Fold per-place task payloads into the whole-spec payload shape."""
-    return {
-        "places": sorted(state.parts),
-        "entities": {
-            str(place): state.parts[place] for place in sorted(state.parts)
-        },
-        "violations": state.violations,
-        "sync_fragments": state.sync_fragments,
-        "trace": {"schema": TRACE_SCHEMA, "enabled": False, "spans": []},
-        "metrics": {"schema": "repro.obs.metrics/v1", "metrics": []},
-    }
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +309,6 @@ def _finish(
     cache: Optional[EntityCache],
     rows: List[Dict[str, Any]],
     entities: Dict[str, Dict[int, str]],
-    tasks: int,
     started: float,
 ) -> None:
     from repro.obs.metrics import get_registry
@@ -398,7 +321,7 @@ def _finish(
     ).inc()
     get_registry().counter(
         "batch.tasks", help="worker tasks executed"
-    ).inc(tasks)
+    ).inc()
     if cache is not None and key is not None:
         cache.put(
             key, case.name, dict(case.options), payload["entities"],
@@ -407,7 +330,7 @@ def _finish(
     rows.append(
         _row(
             case.name, "ok", "miss" if cache is not None else "off",
-            payload["places"], tasks, time.perf_counter() - started,
+            payload["places"], 1, time.perf_counter() - started,
         )
     )
 

@@ -43,7 +43,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import __version__
 from repro.core.complexity import analyze
-from repro.core.generator import DEFAULT_SPLIT_BYTES, derive_protocol
+from repro.core.generator import derive_protocol
 from repro.errors import ReproError
 from repro.lotos.unparse import unparse_behaviour
 from repro.runtime import build_system, check_run, random_run
@@ -687,14 +687,6 @@ def _add_batch(commands, common: argparse.ArgumentParser) -> None:
         help="evict least-recently-written entries beyond N",
     )
     parser.add_argument(
-        "--split-bytes",
-        type=int,
-        default=DEFAULT_SPLIT_BYTES,
-        metavar="N",
-        help="fan out one task per place for specs whose canonical text "
-        "is at least N bytes (default %(default)s)",
-    )
-    parser.add_argument(
         "--out",
         default=None,
         metavar="DIR",
@@ -728,7 +720,6 @@ def _batch(args: argparse.Namespace) -> int:
         workers=args.workers,
         timeout=args.timeout,
         cache=cache,
-        split_bytes=args.split_bytes,
     )
     if args.out:
         out_dir = os.path.abspath(args.out)

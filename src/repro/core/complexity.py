@@ -17,9 +17,8 @@ process instantiation  n - 1
 =====================  ==========================================
 
 :func:`analyze` computes the actual per-construct counts from the
-derivation ledger and checks them against the bounds; the benchmark
-``benchmarks/bench_complexity.py`` regenerates the section's table over
-growing place counts.
+derivation ledger and checks them against the bounds;
+``tests/core/test_complexity.py`` checks them over growing place counts.
 """
 
 from __future__ import annotations

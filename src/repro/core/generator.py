@@ -265,20 +265,14 @@ def derive_protocol(
 
 
 # ----------------------------------------------------------------------
-# Picklable task entry points for :mod:`repro.batch`.
+# Picklable task entry point for :mod:`repro.batch`.
 #
-# Each ``T_p`` projection is independent (the paper applies T_p to the
-# root once per place), so a corpus run can fan out either one task per
-# specification or — for large specifications — one task per place.
-# These functions are module-level, take and return only plain
-# JSON-able values, and build their own tracer/metrics registry, so
-# they cross a ``ProcessPoolExecutor`` boundary without dragging along
-# any process-global state.
+# A corpus run fans out one task per specification.  This function is
+# module-level, takes and returns only plain JSON-able values, and
+# builds its own tracer/metrics registry, so it crosses a
+# ``ProcessPoolExecutor`` boundary without dragging along any
+# process-global state.
 # ----------------------------------------------------------------------
-
-#: Specifications whose canonical text reaches this size fan out one
-#: task per place instead of one task per spec.
-DEFAULT_SPLIT_BYTES = 4096
 
 
 def derive_task(text: str, options: Optional[Dict[str, bool]] = None) -> Dict:
@@ -308,52 +302,6 @@ def derive_task(text: str, options: Optional[Dict[str, bool]] = None) -> Dict:
         ),
         "trace": tracer.to_dict(),
         "metrics": registry.snapshot(),
-    }
-
-
-def list_places_task(
-    text: str, options: Optional[Dict[str, bool]] = None
-) -> Dict:
-    """Prepare one specification and report its places (the paper's ALL)
-    plus the admissibility verdict — the planning step before a
-    per-place fan-out."""
-    opts = normalize_options(options)
-    generator = ProtocolGenerator(**opts)
-    prepared = generator.prepare(parse(text))
-    attrs = evaluate_attributes(prepared)
-    violations = generator.admissibility(prepared, attrs)
-    return {
-        "places": sorted(int(place) for place in attrs.all_places),
-        "violations": len(violations),
-    }
-
-
-def derive_place_task(
-    text: str, place: int, options: Optional[Dict[str, bool]] = None
-) -> Dict:
-    """One ``T_p`` projection: derive only ``place``'s protocol entity.
-
-    Byte-identical to the corresponding entry of :func:`derive_task`:
-    node numbering happens during ``prepare`` and each projection only
-    reads the shared attribute table, so deriving places separately (in
-    any order, in any process) cannot change any entity text.
-    """
-    opts = normalize_options(options)
-    generator = ProtocolGenerator(**opts)
-    prepared = generator.prepare(parse(text))
-    attrs = evaluate_attributes(prepared)
-    generator.admissibility(prepared, attrs)
-    deriver = Deriver(
-        prepared,
-        attrs,
-        emit_sync=opts["emit_sync"],
-        allow_mixed_choice=opts["mixed_choice"],
-    )
-    entity = deriver.derive(place)
-    return {
-        "place": int(place),
-        "text": unparse(entity, compact=True),
-        "sync_fragments": len(deriver.ledger),
     }
 
 

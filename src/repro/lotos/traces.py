@@ -121,6 +121,8 @@ def weak_trace_equivalent(
     Returns ``(True, None)`` when the two behaviours have the same weak
     traces of length up to ``depth``; otherwise ``(False, witness)``
     where ``witness`` is a shortest trace possessed by exactly one side.
+    Labels are expanded in the order of their text, so the witness does
+    not depend on the process's hash seed.
     """
     start = (initial_class(root1, semantics1), initial_class(root2, semantics2))
     queue: deque[Tuple[Trace, StateSet, StateSet]] = deque([((), *start)])
@@ -131,7 +133,7 @@ def weak_trace_equivalent(
             continue
         moves1 = observable_moves(class1, semantics1)
         moves2 = observable_moves(class2, semantics2)
-        for label in set(moves1) | set(moves2):
+        for label in sorted(moves1.keys() | moves2.keys(), key=str):
             extended = trace + (label,)
             if label not in moves1 or label not in moves2:
                 return False, extended
@@ -152,7 +154,8 @@ def weak_trace_included(
     """Bounded weak-trace inclusion: traces(root1) ⊆ traces(root2).
 
     Returns ``(False, witness)`` with a shortest trace of ``root1`` that
-    ``root2`` cannot perform, or ``(True, None)``.
+    ``root2`` cannot perform, or ``(True, None)``; like
+    :func:`weak_trace_equivalent`, independent of the hash seed.
     """
     start = (initial_class(root1, semantics1), initial_class(root2, semantics2))
     queue: deque[Tuple[Trace, StateSet, StateSet]] = deque([((), *start)])
@@ -163,11 +166,11 @@ def weak_trace_included(
             continue
         moves1 = observable_moves(class1, semantics1)
         moves2 = observable_moves(class2, semantics2)
-        for label, targets1 in moves1.items():
+        for label in sorted(moves1, key=str):
             extended = trace + (label,)
             if label not in moves2:
                 return False, extended
-            pair = (targets1, moves2[label])
+            pair = (moves1[label], moves2[label])
             if pair not in visited:
                 visited.add(pair)
                 queue.append((extended, *pair))

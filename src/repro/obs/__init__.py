@@ -50,9 +50,7 @@ from repro.obs.profile import (
     spec_display_name,
 )
 from repro.obs.schema import (
-    BENCH_SCHEMA,
     PROFILE_SCHEMA,
-    validate_bench,
     validate_metrics,
     validate_report,
     validate_trace,
@@ -117,9 +115,7 @@ __all__ = [
     "render_report_json",
     "spec_display_name",
     "PROFILE_SCHEMA",
-    "BENCH_SCHEMA",
     "validate_report",
     "validate_trace",
     "validate_metrics",
-    "validate_bench",
 ]

@@ -1,13 +1,12 @@
 """Dependency-free structural validation of the ``repro.obs`` documents.
 
-Five JSON documents are validated here: the span tree
+Four JSON documents are validated here: the span tree
 (``repro.obs.trace/v1``), the metrics snapshot
 (``repro.obs.metrics/v1``), the consolidated profile report
-(``repro.obs.profile/v1``), the benchmark dump (``repro.obs.bench/v1``)
-and the corpus batch summary (``repro.obs.batch/v1``, produced by
-:mod:`repro.batch`).  CI's smoke and gate jobs validate against these
-shapes before trusting a report, and tests pin them so the schemas
-only change deliberately.
+(``repro.obs.profile/v1``) and the corpus batch summary
+(``repro.obs.batch/v1``, produced by :mod:`repro.batch`).  CI's smoke
+jobs validate against these shapes before trusting a report, and tests
+pin them so the schemas only change deliberately.
 
 The validator is a tiny structural checker (no jsonschema dependency):
 each check returns a list of human-readable problem strings, empty when
@@ -22,7 +21,6 @@ from repro.obs.metrics import METRICS_SCHEMA
 from repro.obs.spans import TRACE_SCHEMA
 
 PROFILE_SCHEMA = "repro.obs.profile/v1"
-BENCH_SCHEMA = "repro.obs.bench/v1"
 BATCH_SCHEMA = "repro.obs.batch/v1"
 
 
@@ -170,31 +168,6 @@ def validate_report(document: Any) -> List[str]:
         )
     problems.extend(validate_trace(document.get("trace", {}), "report.trace"))
     problems.extend(validate_metrics(document.get("metrics", {}), "report.metrics"))
-    return problems
-
-
-def validate_bench(document: Any) -> List[str]:
-    """Validate a ``--bench-json`` dump (bench/v1)."""
-    problems: List[str] = []
-    if not isinstance(document, dict):
-        return ["bench: not an object"]
-    _require(
-        document, "bench", {"schema": str, "benchmarks": list, "metrics": dict},
-        problems,
-    )
-    if document.get("schema") != BENCH_SCHEMA:
-        problems.append(f"bench.schema: expected {BENCH_SCHEMA!r}")
-    for index, entry in enumerate(document.get("benchmarks", [])):
-        bpath = f"bench.benchmarks[{index}]"
-        if not isinstance(entry, dict):
-            problems.append(f"{bpath}: not an object")
-            continue
-        _require(
-            entry, bpath,
-            {"nodeid": str, "wall_time_s": (int, float), "outcome": str},
-            problems,
-        )
-    problems.extend(validate_metrics(document.get("metrics", {}), "bench.metrics"))
     return problems
 
 

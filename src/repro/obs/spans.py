@@ -14,9 +14,8 @@ of an operation (``derive`` > ``derive.prepare`` > ``prepare.flatten``
     the process-wide default.  Its :meth:`~NullTracer.span` hands back a
     shared singleton context manager that does **nothing** — no clock
     read, no string formatting, no allocation — so instrumented code
-    paths cost one method call when observability is off (the overhead
-    guard in ``benchmarks/bench_analysis.py`` and
-    ``tests/obs/test_noop.py`` keep this honest).
+    paths cost one method call when observability is off
+    (``tests/obs/test_noop.py`` keeps this honest).
 
 Instrumentation sites therefore always go through the *active* tracer::
 

@@ -35,7 +35,6 @@ from repro.runtime.system import build_system
 
 ServiceInput = Union[str, Specification, DerivationResult]
 
-DEFAULT_MAX_STATES = 40_000
 DEFAULT_TRACE_DEPTH = 8
 
 #: Largest composed-system LTS on which the exact (weak bisimulation)
@@ -116,7 +115,6 @@ def _is_recursive(spec: Specification) -> bool:
 
 def verify_derivation(
     service: ServiceInput,
-    max_states: int = DEFAULT_MAX_STATES,
     trace_depth: int = DEFAULT_TRACE_DEPTH,
     capacity: Optional[int] = None,
     discipline: str = "fifo",
@@ -129,7 +127,8 @@ def verify_derivation(
     :class:`DerivationResult` (so callers can verify exactly what they
     derived).  Strategy:
 
-    1. attempt full LTS construction of both sides within ``max_states``;
+    1. attempt full LTS construction of both sides within three times
+       ``exact_state_limit`` states;
     2. if both are finite, decide weak bisimulation and observation
        congruence exactly;
     3. otherwise compare weak traces up to ``trace_depth``.
@@ -158,7 +157,7 @@ def verify_derivation(
     # bisimilarity (repro.lotos.reduction), so the raw build budget can
     # exceed the saturation limit: a system a few times larger than the
     # exact gate may still fit after compression.
-    budget = min(max_states, exact_state_limit * 3)
+    budget = exact_state_limit * 3
     recursive = _is_recursive(result.prepared)
     if recursive:
         # Recursive services are infinite-state by construction here (the

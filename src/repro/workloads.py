@@ -3,18 +3,18 @@
 The paper's evaluation artifacts (the worked examples, the message
 complexity analysis of Section 4.3, the PG case studies of Section 6)
 are all *service specifications*; this module builds families of them
-with tunable size and place count so benchmarks can sweep parameters.
+with tunable size and place count so tests and perfbench can sweep
+parameters.
 All generators return conforming specifications (R1-R3 hold by
 construction) unless stated otherwise.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.lotos.parser import parse
 from repro.lotos.syntax import Specification
-from repro.lotos.unparse import unparse
 
 # ----------------------------------------------------------------------
 # The paper's own examples, as canonical texts.
@@ -140,63 +140,3 @@ def process_chain(length: int, places: int = 3) -> Specification:
             f"PROC {name} = h{index}x{first}; g{index}x{second}; exit END"
         )
     return parse(f"SPEC {body} WHERE {' '.join(definitions)} ENDSPEC")
-
-
-# ----------------------------------------------------------------------
-# Corpora: named (name, text) families for repro.batch and benchmarks.
-#
-# Every member is textually distinct (the sweep parameter varies per
-# index), so each occupies its own slot in the content-addressed cache
-# — a corpus of N specs really measures N derivations, not one.
-# ----------------------------------------------------------------------
-def pipeline_corpus(
-    count: int = 8, places: int = 6, rounds: int = 2
-) -> List[Tuple[str, str]]:
-    """``count`` pipelines of growing length: pure sequencing load."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    return [
-        (
-            f"pipeline_{index:02d}",
-            unparse(pipeline(places, rounds + index)),
-        )
-        for index in range(count)
-    ]
-
-
-def fan_out_join_corpus(
-    count: int = 8, places: int = 4
-) -> List[Tuple[str, str]]:
-    """``count`` fan-out/join services of growing width."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    return [
-        (
-            f"fan_out_join_{index:02d}",
-            unparse(fan_out_join(places + index)),
-        )
-        for index in range(count)
-    ]
-
-
-def synthetic_corpus(count: int = 16) -> List[Tuple[str, str]]:
-    """A mixed ``count``-spec corpus cycling through every family.
-
-    The members are sized so that a single derivation costs a few
-    dozen milliseconds — heavy enough that a worker pool's process
-    overhead amortizes, small enough that a 16-spec corpus stays a
-    sub-minute benchmark.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
-    families = [
-        lambda k: pipeline(8 + (k % 5), 3),
-        lambda k: fan_out_join(8 + (k % 7)),
-        lambda k: process_chain(12 + (k % 9)),
-        lambda k: choice_ladder(6 + (k % 5), 4),
-    ]
-    members: List[Tuple[str, str]] = []
-    for index in range(count):
-        spec = families[index % len(families)](index)
-        members.append((f"synthetic_{index:02d}", unparse(spec)))
-    return members

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro import workloads
 from repro.analysis.lint import (
     ERROR,
     INFO,
@@ -25,6 +26,7 @@ from repro.analysis.lint import (
 )
 from repro.lotos.location import Span
 from repro.lotos.parser import parse
+from repro.lotos.unparse import unparse
 
 #: Paper Example 3 — the reference "clean" specification.
 CLEAN = """SPEC S [> interrupt3; exit WHERE
@@ -61,6 +63,9 @@ class TestRegistry:
         result = lint_text(CLEAN)
         assert result.ok
         assert not result.diagnostics
+        # The largest generated services have no error findings either.
+        assert lint_spec(workloads.pipeline(8, rounds=4)).ok
+        assert lint_text(unparse(workloads.process_chain(12, places=3))).ok
 
 
 class TestUnusedProcess:

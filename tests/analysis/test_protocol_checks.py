@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import workloads
 from repro.analysis import analyze_protocol, analyze_system
 from repro.core.generator import derive_protocol
 from repro.lotos.parser import parse
@@ -16,6 +17,7 @@ class TestCleanProtocols:
             "SPEC a1; exit >> b2; exit ENDSPEC",
             "SPEC (a1; b2; exit) [] (c1; d2; exit) ENDSPEC",
             "SPEC (a1; exit ||| b2; exit) >> c3; exit ENDSPEC",
+            workloads.pipeline(5, rounds=2),
         ],
     )
     def test_derived_protocols_are_clean(self, service):
@@ -77,17 +79,16 @@ class TestBrokenProtocols:
         )
 
     def test_disable_residue_is_stale_not_deadlock(self):
-        from repro import workloads
-
-        result = derive_protocol(workloads.EXAMPLE3_FILE_TRANSFER)
-        report = analyze_protocol(
-            result.entities,
-            discipline="selective",
-            max_states=6_000,
-            use_occurrences=False,
-        )
-        assert not report.deadlocks
-        assert report.stale_at_termination  # Section 3.3 shortcoming residue
+        for service in (workloads.EXAMPLE3_FILE_TRANSFER, workloads.TRANSPORT_SESSION):
+            result = derive_protocol(service)
+            report = analyze_protocol(
+                result.entities,
+                discipline="selective",
+                max_states=6_000,
+                use_occurrences=False,
+            )
+            assert not report.deadlocks
+            assert report.stale_at_termination  # Section 3.3 shortcoming residue
 
 
 class TestReportRendering:

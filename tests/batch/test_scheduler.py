@@ -103,25 +103,8 @@ class TestPoolRuns:
             if row["status"] != "ok"
         ]
         assert outcome.entities == fresh_entities
-
-    def test_per_place_fanout_is_byte_identical(
-        self, goldens, fresh_entities
-    ):
-        # split_bytes=1 forces every spec down the one-task-per-place
-        # path (plan task + one T_p task per place).
-        outcome = run_batch(goldens, workers=2, split_bytes=1)
-        assert outcome.ok, [
-            row["error"]
-            for row in outcome.summary["specs"]
-            if row["status"] != "ok"
-        ]
-        assert outcome.entities == fresh_entities
-        total_places = sum(
-            len(places) for places in fresh_entities.values()
-        )
-        assert outcome.summary["totals"]["tasks"] == (
-            len(goldens) + total_places
-        )
+        # One worker task per derived specification.
+        assert outcome.summary["totals"]["tasks"] == len(goldens)
 
     def test_parallel_run_populates_the_cache_for_serial_readers(
         self, goldens, tmp_path

@@ -1,7 +1,12 @@
-"""Message-complexity tests: the Section 4.3 bounds (E8)."""
+"""Message-complexity tests: the Section 4.3 bounds (E8).
+
+Each bound is checked on a hand-written service and on the largest
+``repro.workloads`` member of its construct family.
+"""
 
 import pytest
 
+from repro import workloads
 from repro.core.complexity import analyze, analyze_ledger, bound_for
 from repro.core.derivation import Deriver
 from repro.core.generator import derive_protocol
@@ -23,11 +28,14 @@ class TestBounds:
 
 class TestSequenceCounts:
     def test_one_message_per_cross_place_hop(self):
-        result = derive_protocol("SPEC a1; b2; c3; d1; exit ENDSPEC")
-        report = analyze(result)
-        assert report.total_messages == 3
-        assert report.per_rule() == {"seq": 3}
-        assert report.violations() == []
+        for service, hops in [
+            ("SPEC a1; b2; c3; d1; exit ENDSPEC", 3),
+            (workloads.pipeline(8, rounds=1), 7),
+        ]:
+            report = analyze(derive_protocol(service))
+            assert report.total_messages == hops
+            assert report.per_rule() == {"seq": hops}
+            assert report.violations() == []
 
     def test_local_hops_are_free(self):
         result = derive_protocol("SPEC a1; b1; c1; exit ENDSPEC")
@@ -42,12 +50,15 @@ class TestSequenceCounts:
 
 class TestParallelMultiplication:
     def test_fan_out_to_parallel_starts(self):
-        # e1 >> (e2 ||| e3): 2 messages instead of 1 (paper Section 4.3).
-        result = derive_protocol(
-            "SPEC a1; exit >> (b2; exit ||| c3; exit) ENDSPEC"
-        )
-        report = analyze(result)
-        assert report.per_rule()["enable"] == 2
+        for service, messages in [
+            # e1 >> (e2 ||| e3): 2 messages instead of 1 (paper Section 4.3).
+            ("SPEC a1; exit >> (b2; exit ||| c3; exit) ENDSPEC", 2),
+            # start >> (n-2 branches) >> join: each enable fans out.
+            (workloads.fan_out_join(3), 2 * (3 - 2)),
+            (workloads.fan_out_join(7), 2 * (7 - 2)),
+        ]:
+            report = analyze(derive_protocol(service))
+            assert report.per_rule()["enable"] == messages
 
     def test_fan_in_from_parallel_ends(self):
         result = derive_protocol(
@@ -68,21 +79,24 @@ class TestParallelMultiplication:
 
 class TestChoiceCounts:
     def test_non_participating_places_cost_messages(self):
-        # left involves {1,2}, right involves {1,3}: choosing either
-        # side notifies the one excluded place.
-        result = derive_protocol(
-            "SPEC (a1; b2; c1; exit) [] (d1; e3; f1; exit) ENDSPEC"
-        )
-        report = analyze(result)
-        assert report.per_rule()["choice"] == 2
-        assert report.violations() == []
+        for service, messages in [
+            # left involves {1,2}, right involves {1,3}: choosing either
+            # side notifies the one excluded place.
+            ("SPEC (a1; b2; c1; exit) [] (d1; e3; f1; exit) ENDSPEC", 2),
+            # 8 alternatives routed through places 2-4 of 5.
+            (workloads.choice_ladder(8, places=5), 15),
+        ]:
+            report = analyze(derive_protocol(service))
+            assert report.per_rule()["choice"] == messages
+            assert report.violations() == []
 
     def test_identical_alternative_places_cost_nothing(self):
-        result = derive_protocol(
-            "SPEC (a1; b2; exit) [] (c1; d2; exit) ENDSPEC"
-        )
-        report = analyze(result)
-        assert "choice" not in report.per_rule()
+        for service in [
+            "SPEC (a1; b2; exit) [] (c1; d2; exit) ENDSPEC",
+            workloads.choice_ladder(8),
+        ]:
+            report = analyze(derive_protocol(service))
+            assert "choice" not in report.per_rule()
 
 
 class TestDisableCounts:
@@ -96,23 +110,31 @@ class TestDisableCounts:
         assert report.violations() == []
 
     def test_total_disable_budget(self):
-        result = derive_protocol("SPEC a1; b2; c3; exit [> d3; exit ENDSPEC")
-        report = analyze(result)
-        per_rule = report.per_rule()
-        disable_total = per_rule["rel"] + per_rule["interr"]
-        n = 3
-        assert disable_total <= 2 * n - 2
+        for service in [
+            "SPEC a1; b2; c3; exit [> d3; exit ENDSPEC",
+            workloads.interrupt_stack(2),
+            workloads.interrupt_stack(5),
+        ]:
+            result = derive_protocol(service)
+            per_rule = analyze(result).per_rule()
+            n = len(result.attrs.all_places)
+            assert per_rule["rel"] <= n - 1 and per_rule["interr"] <= n - 1
+            # 2n-3 under the paper's assumptions; 2n-2 with an
+            # exit-continuation interrupt.
+            assert per_rule["rel"] + per_rule["interr"] <= 2 * n - 2
 
 
 class TestProcessCounts:
     def test_invocation_broadcast(self):
-        result = derive_protocol(
-            "SPEC B >> c3; exit WHERE PROC B = a1; b2; exit END ENDSPEC"
-        )
-        report = analyze(result)
-        n = 3
-        assert report.per_rule()["proc"] == n - 1
-        assert report.violations() == []
+        for service, invocations in [
+            ("SPEC B >> c3; exit WHERE PROC B = a1; b2; exit END ENDSPEC", 1),
+            (workloads.process_chain(8), 8),
+        ]:
+            result = derive_protocol(service)
+            report = analyze(result)
+            n = len(result.attrs.all_places)
+            assert report.per_rule()["proc"] == invocations * (n - 1)
+            assert report.violations() == []
 
     def test_recursion_counts_static_occurrences(self):
         result = derive_protocol(

@@ -72,12 +72,13 @@ class TestChoiceLadder:
 class TestRecursionTower:
     def test_balanced_unwinding(self):
         result = derive_protocol(workloads.recursion_tower(3))
-        system = build_system(result.entities)
-        for seed in range(15):
-            run = random_run(system, seed=seed, max_steps=2_000)
-            assert run.terminated
-            names = [event.name for event in run.trace]
-            assert names.count("a") == names.count("u") // 2 >= 1
+        for use_occurrences in (True, False):
+            system = build_system(result.entities, use_occurrences=use_occurrences)
+            for seed in range(15):
+                run = random_run(system, seed=seed, max_steps=2_000)
+                assert run.terminated
+                names = [event.name for event in run.trace]
+                assert names.count("a") == names.count("u") // 2 >= 1
 
 
 class TestInterruptStack:

@@ -43,6 +43,7 @@ class TestCli:
         assert main([service_file, "--complexity"]) == 0
         out = capsys.readouterr().out
         assert "Message complexity" in out
+        assert "total messages      : 14" in out  # Example 3's full table
 
     def test_runs(self, service_file, capsys):
         assert main([service_file, "--run", "2"]) == 0

@@ -95,13 +95,20 @@ class TestExample5ChoiceSynchronization:
 
 
 class TestExample6Disable:
-    def test_no_deadlock_under_any_schedule(self, example6):
-        system = build_system(
-            example6.entities, discipline="selective", require_empty_at_exit=False
-        )
-        for run in run_many(system, runs=50, max_steps=400):
-            assert not run.deadlocked, str(run)
-            assert run.terminated, str(run)
+    def test_no_deadlock_under_any_schedule(self, example6, example3):
+        # Example 3 is the paper's other [>-service; it also stays
+        # deadlock-free under both queue disciplines.
+        for result, discipline in [
+            (example6, "selective"),
+            (example3, "fifo"),
+            (example3, "selective"),
+        ]:
+            system = build_system(
+                result.entities, discipline=discipline, require_empty_at_exit=False
+            )
+            for run in run_many(system, runs=50, max_steps=400):
+                assert not run.deadlocked, str(run)
+                assert run.terminated, str(run)
 
     def test_interrupt_can_preempt(self, example6):
         system = build_system(
