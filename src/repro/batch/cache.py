@@ -19,15 +19,16 @@ actually determines the output:
 
 Entries are one JSON file each under ``<root>/<key[:2]>/<key>.json``
 (two-level fan-out keeps directories small on big corpora), holding the
-unparse'd entity texts plus the worker's ``repro.obs.profile/v1`` stats
-document.  Hits, misses and evictions are counted in the active
+unparse'd entity texts.  Hits and misses are counted in the active
 :mod:`repro.obs.metrics` registry as ``batch.cache.hits`` /
-``batch.cache.misses`` / ``batch.cache.evictions``.
+``batch.cache.misses``.
 
-The store is deliberately crash-tolerant rather than locked: writes go
-through a same-directory temp file + :func:`os.replace`, a corrupt or
-truncated entry reads as a miss (and is deleted), and concurrent
-writers of the same key converge on identical bytes by construction.
+The store is deliberately crash-tolerant rather than locked: each write
+goes through its own uniquely named temp file in the entry's directory
+and then :func:`os.replace`, so two writers of one key never share a
+temp file and the last rename wins with identical bytes.  A corrupt or
+truncated entry, or one of an older entry schema, reads as a miss (and
+is deleted), so the next derivation rewrites it.
 """
 
 from __future__ import annotations
@@ -36,13 +37,14 @@ import hashlib
 import json
 import os
 import pathlib
-from typing import Any, Dict, Iterable, Mapping, Optional
+import tempfile
+from typing import Any, Dict, Mapping, Optional
 
 from repro.core.generator import ALGORITHM_VERSION, normalize_options
 from repro.obs.metrics import get_registry
 
 #: Schema tag of one cache entry file.
-ENTRY_SCHEMA = "repro.batch.entry/v1"
+ENTRY_SCHEMA = "repro.batch.entry/v2"
 
 
 def canonicalize_spec_text(text: str) -> str:
@@ -77,23 +79,10 @@ def cache_key(
 
 
 class EntityCache:
-    """Filesystem store of derivation results, addressed by content.
+    """Filesystem store of derivation results, addressed by content."""
 
-    ``max_entries`` bounds the store: when a ``put`` pushes the entry
-    count past the bound, the least-recently-modified entries are
-    evicted (derivations are pure, so eviction only ever costs a
-    recompute).  ``max_entries=None`` means unbounded.
-    """
-
-    def __init__(
-        self,
-        root: os.PathLike | str,
-        max_entries: Optional[int] = None,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive (or None)")
+    def __init__(self, root: os.PathLike | str) -> None:
         self.root = pathlib.Path(root)
-        self.max_entries = max_entries
 
     # ------------------------------------------------------------------
     def key(
@@ -139,7 +128,6 @@ class EntityCache:
         name: str,
         options: Optional[Mapping[str, Any]],
         entities: Mapping[str, str],
-        stats: Optional[Mapping[str, Any]] = None,
     ) -> pathlib.Path:
         """Store one derivation result; returns the entry path."""
         entry = {
@@ -150,50 +138,20 @@ class EntityCache:
             "algorithm": ALGORITHM_VERSION,
             "places": sorted(int(place) for place in entities),
             "entities": {str(place): text for place, text in entities.items()},
-            "stats": dict(stats) if stats is not None else None,
         }
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(
-            json.dumps(entry, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(tmp, path)
-        if self.max_entries is not None:
-            self._evict(keep=path)
+        handle, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(handle, "w", encoding="utf-8") as stream:
+                stream.write(json.dumps(entry, indent=2, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            pathlib.Path(tmp).unlink(missing_ok=True)
+            raise
         return path
 
-    # ------------------------------------------------------------------
-    def _entries(self) -> Iterable[pathlib.Path]:
-        if not self.root.exists():
-            return []
-        return self.root.glob("*/*.json")
-
     def __len__(self) -> int:
-        return sum(1 for _ in self._entries())
-
-    def _evict(self, keep: pathlib.Path) -> None:
-        entries = sorted(self._entries(), key=lambda p: p.stat().st_mtime)
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return
-        registry = get_registry()
-        for path in entries:
-            if excess <= 0:
-                break
-            if path == keep:  # never evict what was just written
-                continue
-            path.unlink(missing_ok=True)
-            excess -= 1
-            registry.counter(
-                "batch.cache.evictions", help="entries dropped by max_entries"
-            ).inc()
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        for path in list(self._entries()):
-            path.unlink(missing_ok=True)
-            removed += 1
-        return removed
+        if not self.root.exists():
+            return 0
+        return sum(1 for _ in self.root.glob("*/*.json"))

@@ -9,7 +9,7 @@
     repro derive service.lotos --trace          # span tree on stderr
     repro derive service.lotos --stats=json     # metrics snapshot on stderr
     repro profile service.lotos                 # consolidated JSON report
-    repro batch corpus/ --workers 4             # parallel, cached corpus run
+    repro batch corpus/                         # cached corpus run
     repro --version
 
 ``repro derive`` is the Protocol Generator: it reads a service
@@ -70,18 +70,14 @@ class _UsageError(Exception):
     reported as ``error: ...`` with exit code 2."""
 
 
-def _number(convert: Callable[[str], float], minimum: float, strict: bool = False):
-    """An argparse ``type=`` that rejects values below ``minimum``.
-
-    With ``strict`` the minimum itself is rejected too (and NaN always
-    is), so a bad value is a usage error at parse time.
-    """
+def _number(convert: Callable[[str], float], minimum: float):
+    """An argparse ``type=`` that rejects values below ``minimum``, so a
+    bad value is a usage error at parse time."""
 
     def parse(text: str):
         value = convert(text)
-        if not (value > minimum if strict else value >= minimum):
-            bound = f"> {minimum}" if strict else f">= {minimum}"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
         return value
 
     parse.__name__ = convert.__name__  # "invalid int value: 'x'"
@@ -89,8 +85,6 @@ def _number(convert: Callable[[str], float], minimum: float, strict: bool = Fals
 
 
 _COUNT = _number(int, 0)
-_POSITIVE_INT = _number(int, 0, strict=True)
-_POSITIVE_FLOAT = _number(float, 0, strict=True)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -635,12 +629,12 @@ def _add_batch(commands, common: argparse.ArgumentParser) -> None:
     parser = commands.add_parser(
         "batch",
         parents=[common],
-        help="parallel, cached derivation of a corpus",
+        help="cached derivation of a corpus",
         description="Derive protocol entities for a whole corpus of "
-        "service specifications — in parallel, with a content-addressed "
-        "on-disk cache so repeat runs never recompute.  Emits one "
-        "repro.obs.batch/v1 summary on stdout; one failing spec never "
-        "aborts the corpus.  See docs/batch.md.",
+        "service specifications, with a content-addressed on-disk cache "
+        "so repeat runs never recompute.  Emits one repro.obs.batch/v2 "
+        "summary on stdout; one failing spec never aborts the corpus.  "
+        "See docs/batch.md.",
     )
     parser.add_argument(
         "corpus",
@@ -654,21 +648,6 @@ def _add_batch(commands, common: argparse.ArgumentParser) -> None:
         help="manifest file to use instead of <corpus>/manifest.json",
     )
     parser.add_argument(
-        "--workers",
-        type=_COUNT,
-        default=0,
-        metavar="N",
-        help="worker processes; 0 (default) derives serially in-process",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=_POSITIVE_FLOAT,
-        default=None,
-        metavar="SECONDS",
-        help="per-task wall-clock budget (pool mode only); an overdue "
-        "task becomes a failure row, not a hung run",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=".repro-cache",
         metavar="DIR",
@@ -678,13 +657,6 @@ def _add_batch(commands, common: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="derive everything; neither read nor write the cache",
-    )
-    parser.add_argument(
-        "--max-cache-entries",
-        type=_POSITIVE_INT,
-        default=None,
-        metavar="N",
-        help="evict least-recently-written entries beyond N",
     )
     parser.add_argument(
         "--out",
@@ -710,17 +682,8 @@ def _batch(args: argparse.Namespace) -> int:
         corpus = load_corpus(args.corpus, manifest=args.manifest)
     except (OSError, ValueError) as exc:
         raise _UsageError(exc) from exc
-    cache = (
-        None
-        if args.no_cache
-        else EntityCache(args.cache_dir, max_entries=args.max_cache_entries)
-    )
-    outcome = run_batch(
-        corpus,
-        workers=args.workers,
-        timeout=args.timeout,
-        cache=cache,
-    )
+    cache = None if args.no_cache else EntityCache(args.cache_dir)
+    outcome = run_batch(corpus, cache=cache)
     if args.out:
         out_dir = os.path.abspath(args.out)
         os.makedirs(out_dir, exist_ok=True)
@@ -758,14 +721,12 @@ def _print_batch_digest(summary: dict) -> None:
             f"{detail} ({row['duration_s'] * 1000:.1f} ms)",
             file=sys.stderr,
         )
-    line = (
+    print(
         f"batch: {totals['ok']}/{totals['specs']} ok, "
         f"{totals['cache_hits']} cached, {totals['derivations']} derived, "
-        f"{totals['duration_s']:.2f}s with {summary['workers']} worker(s)"
+        f"{totals['duration_s']:.2f}s",
+        file=sys.stderr,
     )
-    if summary["degraded"]:
-        line += " [DEGRADED to serial]"
-    print(line, file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ the ``empty``-elimination of the derived texts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.core.attributes import AttributeTable, evaluate_attributes, number_nodes
 from repro.core.derivation import Deriver
@@ -45,7 +45,7 @@ ServiceInput = Union[str, Specification]
 ALGORITHM_VERSION = "1"
 
 #: The complete option surface of :class:`ProtocolGenerator`, with the
-#: paper-faithful defaults.  Batch tasks and cache keys canonicalize
+#: paper-faithful defaults.  Corpus members and cache keys canonicalize
 #: against this mapping so that every option — present or defaulted —
 #: contributes to the cache key.
 OPTION_DEFAULTS = {
@@ -262,47 +262,6 @@ def derive_protocol(
     return ProtocolGenerator(
         strict=strict, emit_sync=emit_sync, mixed_choice=mixed_choice
     ).derive(service)
-
-
-# ----------------------------------------------------------------------
-# Picklable task entry point for :mod:`repro.batch`.
-#
-# A corpus run fans out one task per specification.  This function is
-# module-level, takes and returns only plain JSON-able values, and
-# builds its own tracer/metrics registry, so it crosses a
-# ``ProcessPoolExecutor`` boundary without dragging along any
-# process-global state.
-# ----------------------------------------------------------------------
-
-
-def derive_task(text: str, options: Optional[Dict[str, bool]] = None) -> Dict:
-    """Derive every protocol entity of one service specification.
-
-    Returns a plain dict: ``places`` (sorted ints), ``entities``
-    (place -> unparse'd text, string keys for JSON round-tripping),
-    ``violations`` / ``sync_fragments`` counts, and the worker's own
-    ``trace`` + ``metrics`` documents.
-    """
-    from repro.obs.metrics import MetricsRegistry, use_registry
-    from repro.obs.spans import Tracer, use_tracer
-
-    opts = normalize_options(options)
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    with use_tracer(tracer), use_registry(registry):
-        result = ProtocolGenerator(**opts).derive(text)
-    return {
-        "places": [int(place) for place in result.places],
-        "entities": {
-            str(place): result.entity_text(place) for place in result.places
-        },
-        "violations": len(result.violations),
-        "sync_fragments": int(
-            registry.counter("derive.sync_fragments").value()
-        ),
-        "trace": tracer.to_dict(),
-        "metrics": registry.snapshot(),
-    }
 
 
 def _expand_full_sync(spec: Specification) -> Specification:

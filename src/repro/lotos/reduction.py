@@ -4,10 +4,14 @@ Composed protocol systems are dominated by *deterministic internal
 chains*: a state whose only move is a single internal step (a message
 being laid into or taken out of a channel with nothing else enabled) is
 weakly bisimilar to its successor.  :func:`compress_tau_chains` merges
-every such state into its successor, which routinely shrinks a composed
-state space by an order of magnitude and lets the exact (saturation-
-based) equivalence checks cover systems that would otherwise fall back
-to bounded methods.
+every such state into its successor.  The saving is a constant factor,
+and it shrinks as systems grow.  Measured as the share of states kept
+(after / before) on the composed systems that ``verify_derivation``
+builds: 0.46-0.93 on the finite goldens; 0.961 and 0.994 on
+``fan_out_join(5)`` and ``(6)``; 0.942 on ``process_chain(8, 3)``; and a
+``lotos.reduction.kept_share`` of 0.947 on perfbench's verify-exact
+workload and 0.996 on verify-bounded.  So it seldom brings a system
+that is over the exact limit under it.
 
 Soundness: if ``s`` has exactly one outgoing transition and it is
 internal to ``t``, then ``s ≈ t`` (weak bisimulation), so redirecting

@@ -154,9 +154,10 @@ def verify_derivation(
     # verdict comes from bounded traces anyway, and unbounded (recursive)
     # services would otherwise burn the whole budget on ever-deeper terms.
     # Deterministic internal chains compress away without affecting weak
-    # bisimilarity (repro.lotos.reduction), so the raw build budget can
-    # exceed the saturation limit: a system a few times larger than the
-    # exact gate may still fit after compression.
+    # bisimilarity (repro.lotos.reduction), so the raw build budget
+    # exceeds the saturation limit.  Compression keeps 94-99% of the
+    # states of systems near the limit, though, so a raw system larger
+    # than the exact gate almost never fits after it.
     budget = exact_state_limit * 3
     recursive = _is_recursive(result.prepared)
     if recursive:

@@ -1,4 +1,4 @@
-"""Cache correctness: content addressing, option sensitivity, eviction.
+"""Cache correctness: content addressing, option sensitivity, atomic writes.
 
 The two properties the batch subsystem lives or dies by:
 
@@ -9,6 +9,7 @@ The two properties the batch subsystem lives or dies by:
 """
 
 import json
+import os
 
 import pytest
 
@@ -114,26 +115,48 @@ class TestEntityCacheStore:
         target.write_text(path.read_text())  # body still says `key`
         assert cache.get(other) is None
 
-    def test_eviction_respects_max_entries(self, tmp_path):
-        cache = EntityCache(tmp_path / "cache", max_entries=2)
-        registry = MetricsRegistry()
-        keys = []
-        with use_registry(registry):
-            for index in range(4):
-                text = SERVICE.replace("a1", f"a{index + 1}")
-                key = cache.key(text)
-                keys.append(key)
-                cache.put(key, f"s{index}", {}, {"1": "t"})
-        assert len(cache) == 2
-        assert registry.counter("batch.cache.evictions").value() == 2
-        # the most recent write always survives
-        assert cache.get(keys[-1]) is not None
+    def test_two_writers_of_one_key_both_land(self, tmp_path, monkeypatch):
+        # A second writer of the same key runs between the first
+        # writer's write and its rename: each has its own temp file, so
+        # both renames succeed and the entry reads back whole.
+        cache = EntityCache(tmp_path / "cache")
+        key = cache.key(SERVICE)
+        real_replace = os.replace
+        interleaved = []
+
+        def replace(src, dst):
+            if not interleaved:
+                interleaved.append(src)
+                cache.put(key, "second", {}, {"1": "t"})
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        path = cache.put(key, "first", {}, {"1": "t"})
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert interleaved
+        entry = cache.get(key)
+        assert entry is not None and entry["name"] == "first"
+        assert entry["entities"] == {"1": "t"}
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = EntityCache(tmp_path / "cache")
+        key = cache.key(SERVICE)
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(key, "seq", {}, {"1": "t"})
+        assert list(cache._path(key).parent.iterdir()) == []
 
     def test_entry_file_is_valid_json_document(self, tmp_path):
         cache = EntityCache(tmp_path / "cache")
         key = cache.key(SERVICE)
         path = cache.put(key, "seq", {"mixed_choice": True}, {"1": "t"})
         entry = json.loads(path.read_text())
-        assert entry["schema"] == "repro.batch.entry/v1"
+        assert entry["schema"] == "repro.batch.entry/v2"
+        assert "stats" not in entry
         assert entry["options"]["mixed_choice"] is True
         assert entry["options"]["strict"] is True  # defaults spelled out

@@ -106,22 +106,6 @@ class TestBatchCommand:
         text = (out_dir / "example4_sequence.entities.txt").read_text()
         assert "Protocol entity for place 1" in text
 
-    def test_workers_flag_round_trips_into_the_summary(
-        self, cache_dir, capsys
-    ):
-        assert (
-            repro_main(
-                [
-                    "batch", GOLDEN_DIR, "--cache-dir", cache_dir,
-                    "--workers", "2", "--quiet",
-                ]
-            )
-            == 0
-        )
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["workers"] == 2
-        assert summary["totals"]["ok"] == summary["totals"]["specs"]
-
     def test_indent_zero_is_compact(self, cache_dir, capsys):
         assert (
             repro_main(

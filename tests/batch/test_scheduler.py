@@ -1,14 +1,13 @@
-"""Scheduler behaviour: identity across execution modes, containment,
-timeouts, and graceful degradation.
+"""Scheduler behaviour: identity with direct derivation, the cache
+round trip, and failure containment.
 
 The load-bearing assertion, here and in the acceptance criteria: the
 derived entity texts are **byte-identical** whether a spec is derived
-serially, on a worker pool, place-by-place, or served from the cache.
+by ``run_batch`` or served from the cache.
 """
 
+import json
 import pathlib
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -18,13 +17,9 @@ from repro.batch import (
     load_corpus,
     run_batch,
 )
-from repro.batch.scheduler import (
-    error_document,
-    stats_document,
-    timeout_document,
-)
-from repro.core.generator import ProtocolGenerator, derive_task
-from repro.obs.schema import validate_batch, validate_report
+from repro.batch.scheduler import error_document
+from repro.core.generator import ProtocolGenerator
+from repro.obs.schema import validate_batch
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parents[1] / "goldens"
 
@@ -50,7 +45,7 @@ class TestSerialRuns:
     def test_summary_validates_and_matches_fresh_derivation(
         self, goldens, fresh_entities
     ):
-        outcome = run_batch(goldens, workers=0)
+        outcome = run_batch(goldens)
         assert validate_batch(outcome.summary) == []
         assert outcome.ok
         assert outcome.entities == fresh_entities
@@ -59,18 +54,17 @@ class TestSerialRuns:
         self, goldens, fresh_entities, tmp_path
     ):
         cache = EntityCache(tmp_path / "cache")
-        cold = run_batch(goldens, workers=0, cache=cache)
-        warm = run_batch(goldens, workers=0, cache=cache)
+        cold = run_batch(goldens, cache=cache)
+        warm = run_batch(goldens, cache=cache)
         assert cold.entities == fresh_entities
         assert warm.entities == fresh_entities
 
     def test_warm_run_does_zero_derivations(self, goldens, tmp_path):
         cache = EntityCache(tmp_path / "cache")
-        run_batch(goldens, workers=0, cache=cache)
-        warm = run_batch(goldens, workers=0, cache=cache)
+        run_batch(goldens, cache=cache)
+        warm = run_batch(goldens, cache=cache)
         totals = warm.summary["totals"]
         assert totals["derivations"] == 0
-        assert totals["tasks"] == 0
         assert totals["cache_hits"] == len(goldens)
         # the counters back the row-level verdicts
         hits = [
@@ -80,39 +74,35 @@ class TestSerialRuns:
         ]
         assert hits and hits[0]["series"][0]["value"] == len(goldens)
 
-    def test_cached_stats_documents_are_valid_profiles(
-        self, goldens, tmp_path
+    def test_a_v1_cache_entry_reads_as_a_miss_and_is_rewritten_as_v2(
+        self, goldens, fresh_entities, tmp_path
     ):
         cache = EntityCache(tmp_path / "cache")
-        run_batch(goldens, workers=0, cache=cache)
-        for case in goldens:
-            entry = cache.get(cache.key(case.text, case.options))
-            assert entry is not None
-            assert validate_report(entry["stats"]) == []
-            assert entry["stats"]["source"] == case.name
+        case = goldens[0]
+        key = cache.key(case.text, case.options)
+        path = cache.put(key, case.name, case.options, {"1": "stale"})
+        entry = json.loads(path.read_text())
+        entry["schema"] = "repro.batch.entry/v1"
+        entry["stats"] = None
+        path.write_text(json.dumps(entry))
 
+        outcome = run_batch([case], cache=cache)
+        row = outcome.summary["specs"][0]
+        assert (row["status"], row["cache"]) == ("ok", "miss")
+        assert outcome.summary["totals"]["derivations"] == 1
+        assert outcome.entities[case.name] == fresh_entities[case.name]
+        healed = json.loads(path.read_text())
+        assert healed["schema"] == "repro.batch.entry/v2"
+        assert "stats" not in healed
+        warm = run_batch([case], cache=cache)
+        assert warm.summary["specs"][0]["cache"] == "hit"
 
-class TestPoolRuns:
-    def test_parallel_output_is_byte_identical_to_serial(
-        self, goldens, fresh_entities
-    ):
-        outcome = run_batch(goldens, workers=2)
-        assert outcome.ok, [
-            row["error"]
-            for row in outcome.summary["specs"]
-            if row["status"] != "ok"
-        ]
-        assert outcome.entities == fresh_entities
-        # One worker task per derived specification.
-        assert outcome.summary["totals"]["tasks"] == len(goldens)
-
-    def test_parallel_run_populates_the_cache_for_serial_readers(
-        self, goldens, tmp_path
-    ):
-        cache = EntityCache(tmp_path / "cache")
-        run_batch(goldens, workers=2, cache=cache)
-        warm = run_batch(goldens, workers=0, cache=cache)
-        assert warm.summary["totals"]["derivations"] == 0
+    def test_derivation_counters_land_in_the_summary_metrics(self, goldens):
+        outcome = run_batch(goldens)
+        names = {
+            metric["name"] for metric in outcome.summary["metrics"]["metrics"]
+        }
+        assert {"batch.derivations", "derive.places"} <= names
 
 
 class TestFailureContainment:
@@ -122,9 +112,8 @@ class TestFailureContainment:
         ("good_two", "SPEC x1; y2; exit ENDSPEC"),
     ]
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_one_failing_spec_does_not_abort_the_corpus(self, workers):
-        outcome = run_batch(corpus_from_texts(self.CORPUS), workers=workers)
+    def test_one_failing_spec_does_not_abort_the_corpus(self):
+        outcome = run_batch(corpus_from_texts(self.CORPUS))
         assert not outcome.ok
         by_name = {row["name"]: row for row in outcome.summary["specs"]}
         assert by_name["good_one"]["status"] == "ok"
@@ -136,7 +125,7 @@ class TestFailureContainment:
         assert validate_batch(outcome.summary) == []
 
     def test_failed_rows_carry_a_traceback(self):
-        outcome = run_batch(corpus_from_texts(self.CORPUS), workers=0)
+        outcome = run_batch(corpus_from_texts(self.CORPUS))
         failed = [
             row
             for row in outcome.summary["specs"]
@@ -149,75 +138,22 @@ class TestFailureContainment:
         outcome = run_batch(
             corpus_from_texts(
                 [("r1", "SPEC (a1; b2; exit) [] (c2; d1; exit) ENDSPEC")]
-            ),
-            workers=0,
+            )
         )
         row = outcome.summary["specs"][0]
         assert row["status"] == "failed"
         assert "R1" in row["error"]["message"]
 
 
-class _StuckPool:
-    """A pool whose futures never complete — exercises the timeout path."""
-
-    def __init__(self, workers):
-        pass
-
-    def submit(self, fn, *args, **kwargs):
-        return Future()
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-class _DeadPool:
-    """A pool that is broken from the first submit."""
-
-    def __init__(self, workers):
-        pass
-
-    def submit(self, fn, *args, **kwargs):
-        raise BrokenProcessPool("the pool died")
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-class TestDegradation:
-    def test_timeout_turns_stuck_tasks_into_failure_rows(self):
-        corpus = corpus_from_texts(
-            [("slow", "SPEC a1; exit >> b2; exit ENDSPEC")]
-        )
-        outcome = run_batch(
-            corpus, workers=1, timeout=0.05, executor_factory=_StuckPool
-        )
-        row = outcome.summary["specs"][0]
-        assert row["status"] == "failed"
-        assert row["error"]["type"] == "TimeoutError"
-        assert validate_batch(outcome.summary) == []
-
-    def test_broken_pool_degrades_to_serial_and_still_derives(
-        self, goldens, fresh_entities
-    ):
-        outcome = run_batch(goldens, workers=2, executor_factory=_DeadPool)
-        assert outcome.summary["degraded"] is True
-        assert outcome.ok
-        assert outcome.entities == fresh_entities
-
-    def test_negative_workers_are_rejected(self, goldens):
-        with pytest.raises(ValueError, match="workers"):
-            run_batch(goldens, workers=-1)
-
-
 class TestSummaryShape:
     def test_rows_keep_corpus_order(self, goldens):
-        outcome = run_batch(goldens, workers=0)
+        outcome = run_batch(goldens)
         assert [row["name"] for row in outcome.summary["specs"]] == [
             case.name for case in goldens
         ]
 
     def test_cache_off_rows_say_off(self, goldens):
-        outcome = run_batch(goldens[:2], workers=0)
+        outcome = run_batch(goldens[:2])
         assert {row["cache"] for row in outcome.summary["specs"]} == {"off"}
         assert outcome.summary["cache"] is None
 
@@ -231,16 +167,3 @@ class TestDocuments:
         assert document["type"] == "ValueError"
         assert document["message"] == "boom"
         assert "ValueError: boom" in document["traceback"]
-
-    def test_timeout_document_shape(self):
-        document = timeout_document(2.5)
-        assert document["type"] == "TimeoutError"
-        assert "2.5" in document["message"]
-
-    def test_stats_document_matches_the_profile_schema(self):
-        payload = derive_task("SPEC a1; exit >> b2; exit ENDSPEC")
-        document = stats_document("example", payload)
-        assert validate_report(document) == []
-        assert document["derivation"]["sync_fragments"] == (
-            payload["sync_fragments"]
-        )

@@ -125,11 +125,6 @@ class TestReproDispatch:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["batch", "{dir}", "--workers", "-1"],
-            ["batch", "{dir}", "--max-cache-entries", "-3"],
-            ["batch", "{dir}", "--max-cache-entries", "0"],
-            ["batch", "{dir}", "--timeout", "-1"],
-            ["batch", "{dir}", "--timeout", "0"],
             ["derive", "{spec}", "--run", "-1"],
             ["profile", "{spec}", "--runs", "-2"],
         ],
